@@ -6,9 +6,9 @@
 // fault-tolerance rule as encoded stripes: n distinct nodes in n distinct
 // racks (c = 1 semantics; requires R >= n).
 #include <stdexcept>
-#include <thread>
 
 #include "cfs/minicfs.h"
+#include "datapath/worker_pool.h"
 #include "obs/trace.h"
 #include "placement/replica_layout.h"
 #include "qos/qos.h"
@@ -72,23 +72,18 @@ StripeId MiniCfs::write_encoded_stripe(
   }
 
   // Stream all n blocks from the writer concurrently (the client pushes
-  // each block to its node).
+  // each block to its node).  A remote (off-cluster) client's ingress is
+  // not modeled, matching write_block's behaviour.
   const NodeId src = writer.value_or(kInvalidNode);
-  {
-    const qos::Captured qctx = qos::capture();
-    std::vector<std::thread> pushes;
+  if (src != kInvalidNode) {
+    datapath::TaskGroup pushes(datapath::WorkerPool::shared());
     for (int i = 0; i < n; ++i) {
-      pushes.emplace_back([this, src, &nodes, i, qctx] {
-        qos::InstallScope qscope(qctx);
-        if (src != kInvalidNode) {
-          transport_->transfer(src, nodes[static_cast<size_t>(i)],
-                               config_.block_size);
-        }
-        // A remote (off-cluster) client's ingress is not modeled, matching
-        // write_block's behaviour.
+      pushes.submit([this, src, &nodes, i] {
+        transport_->transfer(src, nodes[static_cast<size_t>(i)],
+                             config_.block_size);
       });
     }
-    for (auto& t : pushes) t.join();
+    pushes.wait();
   }
   for (int i = 0; i < k; ++i) {
     store(nodes[static_cast<size_t>(i)], block_ids[static_cast<size_t>(i)],

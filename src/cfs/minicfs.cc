@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include "datapath/pipeline.h"
+#include "datapath/worker_pool.h"
 #include "ecdag/dag.h"
 #include "ecdag/executor.h"
 #include "obs/trace.h"
@@ -186,17 +186,15 @@ BlockId MiniCfs::write_block(std::span<const uint8_t> data,
 
   // Replication pipeline: hop h streams the block from replica h to h+1.
   // Hops overlap (HDFS streams 64 KB packets down the chain), so they run
-  // concurrently here.
+  // concurrently here, as shared-pool tasks charging the writer's flow.
   const auto& replicas = placement.replicas;
-  const qos::Captured qctx = qos::capture();  // hops charge the writer's flow
-  std::vector<std::thread> hops;
+  datapath::TaskGroup hops(datapath::WorkerPool::shared());
   for (size_t h = 0; h + 1 < replicas.size(); ++h) {
-    hops.emplace_back([this, &replicas, h, qctx] {
-      qos::InstallScope scope(qctx);
+    hops.submit([this, &replicas, h] {
       transport_->transfer(replicas[h], replicas[h + 1], config_.block_size);
     });
   }
-  for (auto& t : hops) t.join();
+  hops.wait();
 
   // One physical copy off the caller's buffer; every replica shares it.
   const datapath::BlockBuffer bytes = datapath::BlockBuffer::copy_of(data);
@@ -248,16 +246,29 @@ datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
       return *std::move(cached);
     }
   }
-  const auto locations = ns_.find_locations(block);
+  auto locations = ns_.find_locations(block);
   if (!locations) {
     throw std::runtime_error("unknown block " + std::to_string(block));
   }
-  const NodeId src = pick_source(*locations, reader, /*count=*/false);
-  if (src != kInvalidNode) {
-    transport_->transfer(src, reader, config_.block_size);
-    datapath::BlockBuffer bytes = fetch(src, block);
-    cache_fill(reader, block, bytes);
-    return bytes;
+  // A conversion may erase the copy picked here between the lookup and the
+  // fetch.  It commits the encoded layout first, so on a store miss the
+  // locations are re-read and the next live copy tried; the buffer is taken
+  // before the wire is charged, so a miss moves no bytes.
+  std::vector<NodeId> missed;
+  while (true) {
+    const NodeId src = pick_source(*locations, reader, /*count=*/false);
+    if (src == kInvalidNode) break;
+    if (auto bytes = datanodes_[static_cast<size_t>(src)]->get(block)) {
+      transport_->transfer(src, reader, config_.block_size);
+      cache_fill(reader, block, *bytes);
+      return *std::move(bytes);
+    }
+    missed.push_back(src);
+    locations = ns_.find_locations(block);
+    if (!locations) break;
+    std::erase_if(*locations, [&missed](NodeId n) {
+      return std::find(missed.begin(), missed.end(), n) != missed.end();
+    });
   }
   datapath::BlockBuffer rebuilt = degraded_read(block, reader);
   cache_fill(reader, block, rebuilt);
@@ -589,12 +600,15 @@ void MiniCfs::encode_stripe(StripeId stripe,
           std::move(parity_bufs[static_cast<size_t>(j)]).seal());
   }
 
-  // Step (iii): delete redundant replicas, register the encoded layout.
+  // Step (iii): register the encoded layout, then delete the redundant
+  // replicas (HDFS invalidates after the commit).  In this order a reader
+  // that looked up the old locations can only miss a copy no longer
+  // listed, and its retry finds the kept one (read_block).
+  ns_.commit_encoded_stripe(stripe, data_blocks, plan.kept, parity_ids,
+                            plan.parity);
   for (const auto& [block_idx, node] : plan.deletions) {
     erase(node, data_blocks[static_cast<size_t>(block_idx)]);
   }
-  ns_.commit_encoded_stripe(stripe, data_blocks, plan.kept, parity_ids,
-                            plan.parity);
   ctr_stripes_encoded_->add();
   hist_encode_s_->record(
       static_cast<double>(obs::now_us() - encode_begin_us) / 1e6);

@@ -159,11 +159,12 @@ class MiniCfs {
   // (when CfsConfig::cache_bytes > 0): a hit returns the reader's cached
   // buffer with zero transport transfer and zero copies.  Otherwise serves
   // from a live replica when one exists (returning a zero-copy reference
-  // to the replica's stored buffer); otherwise performs a degraded read,
-  // reconstructing from any k live blocks of the encoded stripe through
-  // the staged chunked pipeline — with one fetch lane per source node when
-  // fan-out is enabled (CfsConfig::read_fanout_lanes).  Throws
-  // std::runtime_error when the block is unrecoverable.
+  // to the replica's stored buffer; a copy deleted under the read, e.g. by
+  // a racing encode, sends it to the next live copy); otherwise performs a
+  // degraded read, reconstructing from any k live blocks of the encoded
+  // stripe through the staged chunked pipeline — with one fetch lane per
+  // source node when fan-out is enabled (CfsConfig::read_fanout_lanes).
+  // Throws std::runtime_error when the block is unrecoverable.
   datapath::BlockBuffer read_block(BlockId block, NodeId reader);
 
   // ---- encoding (the RaidNode path uses these) ----------------------------

@@ -10,7 +10,6 @@
 #include "datapath/worker_pool.h"
 #include "obs/trace.h"
 #include "placement/replica_layout.h"
-#include "qos/qos.h"
 
 namespace ear::cfs {
 
@@ -40,17 +39,14 @@ EncodeReport RaidNode::encode_stripes(const std::vector<StripeId>& stripes,
   }
 
   // One map task per stripe on the shared data-path pool, at most
-  // `map_slots` occupying slots at once (HDFS-RAID's map-slot limit).
+  // `map_slots` occupying slots at once (HDFS-RAID's map-slot limit).  The
+  // tasks inherit the submitting job's (class, tenant) flow — a conversion
+  // job tagged to a tenant keeps its tenant across every encode it fans out.
   std::mutex report_mu;
-  // Map tasks run on shared pool threads: hand them the submitting job's
-  // (class, tenant) flow — e.g. a conversion job tagged to a tenant keeps
-  // its tenant across every encode it fans out.
-  const qos::Captured qctx = qos::capture();
   {
     datapath::TaskGroup tasks(datapath::WorkerPool::shared(), map_slots_);
     for (size_t i = 0; i < stripes.size(); ++i) {
       tasks.submit([&, i] {
-        qos::InstallScope qscope(qctx);
         try {
           obs::Span task_span("raid.map_task", "raid");
           task_span.arg("stripe", stripes[i]);

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <thread>
 #include <vector>
 
+#include "datapath/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "qos/qos.h"
 
 namespace ear::datapath {
 
@@ -43,11 +42,27 @@ int ChunkLadder::ready() const {
 
 // ----------------------------------------------------------- StagedPipeline
 
+namespace {
+
+// Runs the upload stage: upload(c) as soon as compute(c) has published.
+// Returns early when the compute stage aborts.
+void upload_stage(int chunks, ChunkLadder& computed,
+                  const std::function<void(int)>& upload) {
+  obs::Span span("datapath.upload", "datapath");
+  span.arg("chunks", chunks);
+  for (int c = 0; c < chunks; ++c) {
+    if (!computed.wait_for(c + 1)) return;
+    upload(c);
+  }
+}
+
+}  // namespace
+
 void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
                          const std::function<void(int)>& compute,
                          const std::function<void(int)>& upload) {
   if (chunks <= 1) {
-    // One-shot path: no stage threads, no handoff.
+    // One-shot path: no stage tasks, no handoff.
     fetch(0);
     compute(0);
     if (upload) upload(0);
@@ -60,13 +75,11 @@ void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
   ChunkLadder fetched;   // fetch -> compute
   ChunkLadder computed;  // compute -> upload
   std::exception_ptr fetch_error;
+  // Declared after everything the stage tasks touch: on every exit path,
+  // exceptions included, the group waits for its tasks before those go.
+  TaskGroup stages(WorkerPool::shared());
 
-  // Stage threads move bytes on behalf of the caller's operation, so they
-  // inherit its (class, tenant) flow (see qos/qos.h).
-  const qos::Captured qctx = qos::capture();
-
-  std::thread fetcher([&] {
-    qos::InstallScope qscope(qctx);
+  stages.submit([&] {
     obs::Span span("datapath.fetch", "datapath");
     span.arg("chunks", chunks);
     try {
@@ -79,21 +92,11 @@ void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
       fetched.abort();
     }
   });
-
-  std::thread uploader;
   if (upload) {
-    uploader = std::thread([&] {
-      qos::InstallScope qscope(qctx);
-      obs::Span span("datapath.upload", "datapath");
-      span.arg("chunks", chunks);
-      for (int c = 0; c < chunks; ++c) {
-        if (!computed.wait_for(c + 1)) return;
-        upload(c);
-      }
-    });
+    stages.submit([&] { upload_stage(chunks, computed, upload); });
   }
 
-  {
+  try {
     obs::Span span("datapath.compute", "datapath");
     span.arg("chunks", chunks);
     for (int c = 0; c < chunks; ++c) {
@@ -107,10 +110,12 @@ void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
       compute(c);
       computed.publish(c + 1);
     }
+  } catch (...) {
+    computed.abort();  // release the uploader so the group can drain
+    throw;
   }
 
-  fetcher.join();
-  if (uploader.joinable()) uploader.join();
+  stages.wait();
   if (fetch_error) std::rethrow_exception(fetch_error);
 }
 
@@ -169,14 +174,12 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
   std::vector<ChunkLadder> ladders(static_cast<size_t>(lanes));
   std::vector<std::exception_ptr> errors(static_cast<size_t>(lanes));
   std::atomic<bool> aborting{false};
+  ChunkLadder computed;  // compute -> upload
+  // Declared last, as in run(): it waits for the lanes on every exit path.
+  TaskGroup stages(WorkerPool::shared());
 
-  const qos::Captured qctx = qos::capture();
-
-  std::vector<std::thread> lane_threads;
-  lane_threads.reserve(static_cast<size_t>(lanes));
   for (int l = 0; l < lanes; ++l) {
-    lane_threads.emplace_back([&, l] {
-      qos::InstallScope qscope(qctx);
+    stages.submit([&, l] {
       gate.acquire();
       obs::Span span("datapath.fetch_lane", "datapath");
       span.arg("lane", l);
@@ -199,22 +202,11 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
       gate.release();
     });
   }
-
-  ChunkLadder computed;  // compute -> upload
-  std::thread uploader;
   if (upload) {
-    uploader = std::thread([&] {
-      qos::InstallScope qscope(qctx);
-      obs::Span span("datapath.upload", "datapath");
-      span.arg("chunks", chunks);
-      for (int c = 0; c < chunks; ++c) {
-        if (!computed.wait_for(c + 1)) return;
-        upload(c);
-      }
-    });
+    stages.submit([&] { upload_stage(chunks, computed, upload); });
   }
 
-  {
+  try {
     obs::Span span("datapath.compute", "datapath");
     span.arg("chunks", chunks);
     span.arg("lanes", lanes);
@@ -238,10 +230,15 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
       compute(c);
       computed.publish(c + 1);
     }
+  } catch (...) {
+    // Stop the lanes at their next rung and release the uploader, so the
+    // group can drain before the exception leaves.
+    aborting.store(true, std::memory_order_relaxed);
+    computed.abort();
+    throw;
   }
 
-  for (auto& t : lane_threads) t.join();
-  if (uploader.joinable()) uploader.join();
+  stages.wait();
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }

@@ -12,7 +12,9 @@
 // StagedPipeline::run coordinates the three stages with chunk-granularity
 // handoff; ChunkPlan slices a block into transport-sized windows; the
 // `datapath.chunks_in_flight` gauge records the high-water fetch/compute
-// distance, proving the overlap.
+// distance, proving the overlap.  Stages and fan-out lanes are tasks on the
+// shared WorkerPool (datapath/worker_pool.h), so a call costs a few task
+// hand-offs, not the creation and join of a thread per stage or lane.
 //
 // The chunked computation must be byte-identical to the one-shot path:
 // callers pass windowed views of the same buffers, and GF(2^8) row
@@ -77,50 +79,48 @@ class StagedPipeline {
  public:
   // Runs `fetch`, `compute` and (optionally) `upload` once per chunk with
   // chunk-granularity handoff: compute(c) starts as soon as fetch(c) has
-  // finished, upload(c) as soon as compute(c) has.  fetch and upload run on
-  // dedicated stage threads (never on pool slots — a pool task waiting on a
-  // queued pool task could deadlock the bounded pool); compute runs on the
-  // calling thread.  With a single chunk everything runs inline: the
-  // one-shot path has no threading overhead.
+  // finished, upload(c) as soon as compute(c) has.  fetch and upload run as
+  // tasks on the shared WorkerPool, under the caller's QoS context; compute
+  // runs on the calling thread, which waits for both tasks before it
+  // returns.  The caller may itself be a pool task.  With a single chunk
+  // everything runs inline: the one-shot path has no hand-off at all.
   //
-  // Stage callbacks must not throw, except `fetch`, whose exception aborts
-  // the pipeline and is rethrown to the caller after the stages drain.
+  // `upload` must not throw.  An exception from `fetch` aborts the pipeline
+  // and is rethrown to the caller after every stage task has finished; one
+  // from `compute` likewise leaves only after the stage tasks have drained.
   static void run(int chunks, const std::function<void(int)>& fetch,
                   const std::function<void(int)>& compute,
                   const std::function<void(int)>& upload = nullptr);
 
   // Fan-out variant for degraded reads and DAG execution: `lanes` fetch
-  // lanes run concurrently, each on its own dedicated stage thread, and
+  // lanes run concurrently, each as its own shared-pool task, and
   // fetch(lane, c) is called once per (lane, chunk).  Each lane streams its
   // chunks independently — a lane stuck behind a congested cross-rack link
   // no longer head-of-line-blocks the intra-rack lanes — and compute(c)
   // starts as soon as every lane has delivered chunk c (the k chunks of
   // ladder rung c have landed).  An optional `upload` stage mirrors run():
-  // upload(c) runs on its own dedicated thread as soon as compute(c) has
+  // upload(c) runs as its own pool task as soon as compute(c) has
   // finished, so result chunks leave while later rungs are still arriving
   // (the ecdag executor ships parity/reconstruction chunks this way).
   //
-  // Lane threads are dedicated, never pool slots (see the pool's
-  // wait-on-queued-task rule), but their *concurrency* is bounded: at most
-  // kMaxActiveLanes lanes across the whole process move bytes at once —
-  // matching the shared WorkerPool's thread cap — and surplus lanes wait
-  // their turn.  The gate cannot deadlock: a lane holds a slot only while
-  // fetching, never while waiting on another lane.
+  // Lane *concurrency* is bounded: at most kMaxActiveLanes lanes across the
+  // whole process move bytes at once, and surplus lanes wait their turn.
+  // The gate cannot deadlock: a lane holds a slot only while fetching,
+  // never while waiting on another lane.
   //
   // lanes <= 1 degenerates to run(fetch(0, ·), compute): the exact
   // pre-fan-out behaviour, used as the round-robin baseline.  chunks <= 1
   // with lanes > 1 still runs every lane (each covers a disjoint share of
   // the work); only the ladder depth is trivial.
   //
-  // Like run(), only `fetch` may throw; the first lane error aborts every
-  // stage (including the uploader) and is rethrown after the lanes drain.
+  // Errors as in run(): the first lane error aborts every stage (including
+  // the uploader) and is rethrown after every task of the call has drained.
   static void run_fanout(int chunks, int lanes,
                          const std::function<void(int, int)>& fetch,
                          const std::function<void(int)>& compute,
                          const std::function<void(int)>& upload = nullptr);
 
-  // Process-wide cap on lanes concurrently moving bytes (== the shared
-  // WorkerPool thread cap).
+  // Process-wide cap on lanes concurrently moving bytes.
   static constexpr int kMaxActiveLanes = 64;
 };
 

@@ -3,21 +3,13 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ear::datapath {
 
 WorkerPool& WorkerPool::shared() {
-  // Data-path tasks mostly sleep on emulated-network reservations, so the
-  // cap is sized for concurrency, not cores: it must cover the bench
-  // configurations (12 map slots + repair workers + headroom) on any host.
-  static WorkerPool pool(/*max_threads=*/64);
+  static WorkerPool pool;
   return pool;
-}
-
-WorkerPool::WorkerPool(int max_threads) : max_threads_(max_threads) {
-  threads_.reserve(static_cast<size_t>(max_threads));
 }
 
 WorkerPool::~WorkerPool() {
@@ -33,16 +25,15 @@ void WorkerPool::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(fn));
-    if (idle_ == 0 && static_cast<int>(threads_.size()) < max_threads_) {
-      spawn_locked();
+    // Every queued task must have a thread that is free to take it: idle
+    // threads count once each, so a burst larger than the idle count grows
+    // the pool instead of queueing behind running (possibly blocked) tasks.
+    if (static_cast<int>(queue_.size()) > idle_) {
+      const int index = static_cast<int>(threads_.size());
+      threads_.emplace_back([this, index] { worker_loop(index); });
     }
   }
   cv_.notify_one();
-}
-
-void WorkerPool::spawn_locked() {
-  const int index = static_cast<int>(threads_.size());
-  threads_.emplace_back([this, index] { worker_loop(index); });
 }
 
 void WorkerPool::worker_loop(int index) {
@@ -52,10 +43,7 @@ void WorkerPool::worker_loop(int index) {
     ++idle_;
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     --idle_;
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
+    if (queue_.empty()) return;  // stopping, and the queue is drained
     std::function<void()> fn = std::move(queue_.front());
     queue_.pop_front();
     ++executed_;
@@ -83,32 +71,38 @@ TaskGroup::TaskGroup(WorkerPool& pool, int max_concurrency)
 TaskGroup::~TaskGroup() { wait(); }
 
 void TaskGroup::submit(std::function<void()> fn) {
+  Task task{std::move(fn), qos::capture()};
   std::lock_guard<std::mutex> lock(mu_);
   ++pending_;
   if (limit_ > 0 && running_ >= limit_) {
-    backlog_.push_back(std::move(fn));
+    backlog_.push_back(std::move(task));
     return;
   }
   ++running_;
-  pool_->submit([this, fn = std::move(fn)]() mutable { run_one(std::move(fn)); });
+  pool_->submit(
+      [this, task = std::move(task)]() mutable { run_one(std::move(task)); });
 }
 
-void TaskGroup::run_one(std::function<void()> fn) {
+void TaskGroup::run_one(Task task) {
   // Chain backlogged tasks onto this pool slot (keeps `running_` at the
   // limit and avoids re-queueing behind unrelated work).
   while (true) {
-    fn();
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      --pending_;
-      if (backlog_.empty()) {
-        --running_;
-        if (pending_ == 0) cv_.notify_all();
-        return;
-      }
-      fn = std::move(backlog_.front());
-      backlog_.pop_front();
+      qos::InstallScope qscope(task.qctx);
+      task.fn();
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    --pending_;
+    if (backlog_.empty()) {
+      --running_;
+      // Notify while holding the lock: the waiter may destroy this group
+      // (often a stack object) as soon as it sees pending_ == 0, and it
+      // cannot see that before the lock is released.
+      if (pending_ == 0) cv_.notify_all();
+      return;
+    }
+    task = std::move(backlog_.front());
+    backlog_.pop_front();
   }
 }
 

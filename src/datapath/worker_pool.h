@@ -1,19 +1,23 @@
-// Shared bounded worker pool — the one place data-path work is scheduled
-// (see DESIGN.md "Data path").
+// Shared worker pool — the one source of data-path threads (see DESIGN.md
+// "Data path").
 //
-// RaidNode map tasks and RepairManager drainers submit here instead of
-// spawning ad-hoc std::thread vectors, so the process-wide thread count on
-// the data path stays bounded no matter how many jobs run concurrently.
-// Threads are spawned on demand up to `max_threads` and parked on a
-// condition variable when idle (data-path tasks spend most of their time
-// asleep on emulated-network reservations, so the cap is deliberately much
-// larger than the core count).
+// RaidNode map tasks, RepairManager drainers, staged-pipeline stages,
+// degraded-read fan-out lanes, replication hops and inline-EC pushes all
+// run here instead of on per-operation std::threads, so the data path pays
+// for bytes and GF math, not for creating and joining thread stacks.
+// Threads are spawned on demand and parked on a condition variable when
+// idle; they are reused by every later operation and joined only when the
+// pool is destroyed.
+//
+// Spawn rule: submit() spawns a thread whenever queued tasks outnumber idle
+// threads, so every queued task has a thread that will run it without
+// waiting for any running task to finish.  There is no thread cap — the
+// pool's size follows the peak number of concurrent tasks, which the
+// callers bound (TaskGroup map slots, repair workers, the fan-out LaneGate).
+// Together these make it safe for a task to block on a task it submitted:
+// pipeline stages and fan-out lanes may be nested inside a map task.
 //
 // Tasks must not throw: an escaping exception would terminate the process.
-// Blocking inside a task is allowed (transport sleeps, retry backoff), but
-// a task must never wait on another *queued* pool task — only on work that
-// is already running or runs on a dedicated thread (the staged pipeline's
-// stage threads are dedicated for exactly this reason).
 #pragma once
 
 #include <condition_variable>
@@ -24,14 +28,16 @@
 #include <thread>
 #include <vector>
 
+#include "qos/qos.h"
+
 namespace ear::datapath {
 
 class WorkerPool {
  public:
-  // The process-wide pool used by RaidNode, RepairManager and tests.
+  // The process-wide pool every data-path component submits to.
   static WorkerPool& shared();
 
-  explicit WorkerPool(int max_threads);
+  WorkerPool() = default;
   ~WorkerPool();  // drains the queue, then joins every thread
 
   WorkerPool(const WorkerPool&) = delete;
@@ -39,12 +45,10 @@ class WorkerPool {
 
   void submit(std::function<void()> fn);
 
-  int max_threads() const { return max_threads_; }
   int thread_count() const;     // threads spawned so far
   int64_t tasks_executed() const;
 
  private:
-  void spawn_locked();
   void worker_loop(int index);
 
   mutable std::mutex mu_;
@@ -54,12 +58,14 @@ class WorkerPool {
   int idle_ = 0;
   int64_t executed_ = 0;
   bool stop_ = false;
-  const int max_threads_;
 };
 
-// Bounded fan-out of tasks onto a pool: at most `max_concurrency` of this
-// group's tasks occupy pool slots at once (0 = unlimited); the rest wait in
-// a local backlog.  wait() blocks until every submitted task has finished.
+// A batch of tasks on a pool and the latch its submitter waits on: at most
+// `max_concurrency` of the group's tasks occupy pool threads at once (0 =
+// unlimited); the rest wait in a local backlog.  Each task runs under the
+// (class, tenant) QoS context that was current when it was submitted (see
+// qos/qos.h).  wait() blocks until every submitted task has finished; the
+// destructor waits too, so a group on the stack never outlives its tasks.
 class TaskGroup {
  public:
   explicit TaskGroup(WorkerPool& pool, int max_concurrency = 0);
@@ -72,13 +78,17 @@ class TaskGroup {
   void wait();
 
  private:
-  void run_one(std::function<void()> fn);
+  struct Task {
+    std::function<void()> fn;
+    qos::Captured qctx;
+  };
+  void run_one(Task task);
 
   WorkerPool* pool_;
   const int limit_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> backlog_;
+  std::deque<Task> backlog_;
   int running_ = 0;
   int pending_ = 0;  // running + backlog
 };

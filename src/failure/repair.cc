@@ -289,8 +289,9 @@ void RepairManager::pump_locked() {
 
 // A drainer services the queue until it runs dry, then exits (pump_locked
 // re-submits one when new work arrives).  It must not throw — it runs as a
-// shared-pool task — and it never waits on another queued pool task, only
-// on the transport and its own retry backoff.
+// shared-pool task.  Besides the transport and its own retry backoff it
+// waits only on tasks its repairs submit (degraded-read fan-out lanes),
+// which the pool's spawn rule always gives a thread.
 void RepairManager::drainer_loop() {
   while (true) {
     Task task;

@@ -8,7 +8,6 @@
 #include "datapath/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "qos/qos.h"
 
 namespace ear::mapred {
 
@@ -45,9 +44,8 @@ ReadJobReport TestbedReadJob::run(const std::vector<BlockId>& blocks) {
   ReadJobReport report;
   std::mutex mu;  // guards the report across map tasks
   const auto job_start = Clock::now();
-  // Map tasks read on pool threads for the submitting job's (class, tenant)
-  // flow — a tenant-tagged MapReduce job stays that tenant's traffic.
-  const qos::Captured qctx = qos::capture();
+  // Map tasks inherit the submitting job's (class, tenant) flow — a
+  // tenant-tagged MapReduce job stays that tenant's traffic.
   {
     datapath::TaskGroup maps(datapath::WorkerPool::shared(),
                              config_.map_slots);
@@ -62,8 +60,7 @@ ReadJobReport TestbedReadJob::run(const std::vector<BlockId>& blocks) {
           break;
         }
       }
-      maps.submit([this, block, reader, local, &mu, &report, qctx] {
-        qos::InstallScope qscope(qctx);
+      maps.submit([this, block, reader, local, &mu, &report] {
         const auto t0 = Clock::now();
         int64_t got = 0;
         bool ok = true;

@@ -10,12 +10,12 @@
 // read by ThrottledTransport at every link reservation, where the
 // fair-share scheduler (qos/scheduler.h) turns it into a weighted grant.
 //
-// Propagation: data paths hop threads constantly (StagedPipeline stage and
-// lane threads, WorkerPool map tasks, replication-pipeline hops), so the
-// context must follow the work, not the thread.  capture()/InstallScope is
-// the hand-off idiom: capture in the thread that owns the operation,
-// install in every thread that moves bytes for it.  StagedPipeline does
-// this automatically for its stage/lane threads.
+// Propagation: data paths hop threads constantly (StagedPipeline stages
+// and lanes, RaidNode map tasks, replication-pipeline hops — all shared
+// WorkerPool tasks), so the context must follow the work, not the thread.
+// capture()/InstallScope is the hand-off idiom: capture in the thread that
+// owns the operation, install in every thread that moves bytes for it.
+// datapath::TaskGroup does this automatically for every task it runs.
 //
 // Invariant 11: the context only ever influences *when* a transfer is
 // granted link time — never which bytes move, so payloads are byte-identical

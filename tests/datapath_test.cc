@@ -11,7 +11,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cfs/checkpoint.h"
@@ -23,6 +25,7 @@
 #include "datapath/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "qos/qos.h"
 
 namespace ear {
 namespace {
@@ -101,7 +104,7 @@ TEST(BlockBuffer, CopyOfChargesBytesCopiedCounter) {
 // -------------------------------------------------------------- WorkerPool
 
 TEST(WorkerPool, RunsSubmittedTasks) {
-  WorkerPool pool(4);
+  WorkerPool pool;
   std::atomic<int> ran{0};
   {
     TaskGroup group(pool);
@@ -112,11 +115,100 @@ TEST(WorkerPool, RunsSubmittedTasks) {
   }
   EXPECT_EQ(ran.load(), 100);
   EXPECT_EQ(pool.tasks_executed(), 100);
-  EXPECT_LE(pool.thread_count(), 4);
+
+  // One task at a time: the parked threads are reused, not one spawned per
+  // task.  A new thread is needed only when every thread is still finishing
+  // an earlier task, so the count barely moves.
+  const int after_burst = pool.thread_count();
+  for (int i = 0; i < 100; ++i) {
+    TaskGroup group(pool);
+    group.submit([&ran] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 200);
+  EXPECT_LE(pool.thread_count(), after_burst + 2);
+}
+
+TEST(WorkerPool, BurstLargerThanIdleThreadsRunsConcurrently) {
+  // A burst of tasks that can only finish together: each blocks until all
+  // of them have started.  The pool holds fewer idle threads than the
+  // burst, so it must spawn for the tasks the idle threads cannot cover
+  // instead of queueing them behind blocked ones.  Blocked tasks give up
+  // after a deadline, so a pool that queues fails here instead of hanging.
+  WorkerPool pool;
+  {
+    TaskGroup warm(pool);
+    warm.submit([] {});
+  }
+  const int idle_before = pool.thread_count();
+  const int burst = idle_before + 6;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  int met = 0;
+  {
+    TaskGroup group(pool);
+    for (int i = 0; i < burst; ++i) {
+      group.submit([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        ++started;
+        cv.notify_all();
+        if (cv.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return started == burst; })) {
+          ++met;
+        }
+      });
+    }
+  }
+  EXPECT_EQ(met, burst) << "only " << met << " of " << burst
+                        << " tasks ran concurrently";
+  EXPECT_GE(pool.thread_count(), burst);
+}
+
+TEST(WorkerPool, TaskMayWaitOnTaskItSubmits) {
+  // Nested fan-out, as a RaidNode map task running a staged pipeline does:
+  // every outer task blocks on inner tasks it submits to the same pool.
+  WorkerPool pool;
+  std::atomic<int> inner_ran{0};
+  TaskGroup outer(pool);
+  for (int i = 0; i < 8; ++i) {
+    outer.submit([&] {
+      TaskGroup inner(pool);
+      for (int j = 0; j < 4; ++j) {
+        inner.submit([&] { inner_ran.fetch_add(1); });
+      }
+      inner.wait();
+    });
+  }
+  outer.wait();
+  EXPECT_EQ(inner_ran.load(), 32);
+}
+
+TEST(WorkerPool, TaskGroupRunsTasksUnderSubmittersQosContext) {
+  WorkerPool pool;
+  qos::TransferContext seen;
+  bool active = false;
+  {
+    const qos::QosScope scope(qos::TrafficClass::kRepair, 3);
+    TaskGroup group(pool);
+    group.submit([&] {
+      seen = qos::current_context();
+      active = qos::context_active();
+    });
+  }
+  EXPECT_TRUE(active);
+  EXPECT_EQ(seen.cls, qos::TrafficClass::kRepair);
+  EXPECT_EQ(seen.tenant, 3);
+  // Outside the scope the submitter has no context, and neither does its
+  // task, though it may run on the thread that ran the tagged one.
+  TaskGroup group(pool);
+  group.submit([&] { active = qos::context_active(); });
+  group.wait();
+  EXPECT_FALSE(active);
 }
 
 TEST(WorkerPool, TaskGroupBoundsConcurrency) {
-  WorkerPool pool(8);
+  WorkerPool pool;
   std::atomic<int> running{0};
   std::atomic<int> peak{0};
   TaskGroup group(pool, /*max_concurrency=*/2);
@@ -200,6 +292,155 @@ TEST(StagedPipeline, FetchExceptionPropagates) {
                    },
                    [&](int) {}),
                std::runtime_error);
+}
+
+TEST(StagedPipeline, ManyShortCallsTearDownCleanly) {
+  // Each call's stage tasks signal a latch on the caller's stack; the caller
+  // returns, and the next call reuses that stack, as soon as the latch
+  // opens.  Four callers run 10k short run/run_fanout calls (1-12 lanes,
+  // with and without an upload stage), ~1% of them failing in fetch, so any
+  // task touching its call's state after the latch opened shows up under
+  // the sanitizers.
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 2500;
+  std::atomic<int> thrown{0};
+  std::atomic<int> expected_throws{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      for (int i = 0; i < kCallsPerCaller; ++i) {
+        const int lanes = 1 + static_cast<int>(rng.uniform(12));
+        const int chunks = 1 + static_cast<int>(rng.uniform(4));
+        const bool fail = rng.uniform(100) == 0;
+        const bool with_upload = rng.uniform(2) == 0;
+        const int fail_lane = static_cast<int>(
+            rng.uniform(static_cast<uint64_t>(lanes)));
+        const int fail_chunk = static_cast<int>(
+            rng.uniform(static_cast<uint64_t>(chunks)));
+        std::atomic<int> fetched{0};
+        int computed = 0;
+        std::atomic<int> uploaded{0};
+        const auto fetch = [&](int lane, int c) {
+          if (fail && lane == fail_lane && c == fail_chunk) {
+            throw std::runtime_error("link died");
+          }
+          fetched.fetch_add(1);
+        };
+        const auto compute = [&](int) { ++computed; };
+        std::function<void(int)> upload;
+        if (with_upload) upload = [&](int) { uploaded.fetch_add(1); };
+        if (fail) expected_throws.fetch_add(1);
+        try {
+          if (lanes == 1) {
+            StagedPipeline::run(
+                chunks, [&](int c) { fetch(0, c); }, compute, upload);
+          } else {
+            StagedPipeline::run_fanout(chunks, lanes, fetch, compute, upload);
+          }
+        } catch (const std::runtime_error&) {
+          thrown.fetch_add(1);
+          continue;
+        }
+        if (fetched.load() != chunks * lanes || computed != chunks ||
+            uploaded.load() != (with_upload ? chunks : 0)) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(thrown.load(), expected_throws.load());
+  EXPECT_GT(expected_throws.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(WorkerPool, DataPathOperationsReuseSharedThreads) {
+  // Writes (replication hops), encodes (fetch/upload stages) and degraded
+  // reads (one fetch lane per source) all run on the shared pool: after a
+  // warm-up, 200 more operations spawn no thread, and every degraded read
+  // executes at least one pool task per lane.
+  cfs::CfsConfig cfg;
+  cfg.racks = 8;
+  cfg.nodes_per_rack = 2;
+  cfg.placement.code = CodeParams{6, 4};
+  cfg.placement.replication = 3;
+  cfg.placement.c = 1;
+  cfg.use_ear = true;
+  cfg.block_size = 320_KB;  // two pipeline chunks of at most 256 KiB
+  cfg.seed = 5;
+  const int k = cfg.placement.code.k;
+  const Topology topo(cfg.racks, cfg.nodes_per_rack);
+  cfs::MiniCfs cluster(
+      cfg, std::make_unique<cfs::InstantTransport>(topo, 256_KB));
+  Rng rng(9);
+  std::vector<uint8_t> data(static_cast<size_t>(cfg.block_size));
+  std::map<BlockId, std::vector<uint8_t>> warmup_blocks;
+  std::set<StripeId> encoded;
+
+  // Writes until a stripe seals, then encodes it.  Returns the stripe and
+  // the number of operations run.
+  const auto write_and_encode_stripe = [&](bool record) {
+    int ops = 0;
+    while (true) {
+      for (const StripeId s : cluster.sealed_stripes()) {
+        if (encoded.insert(s).second) {
+          cluster.encode_stripe(s);
+          return std::make_pair(s, ops + 1);
+        }
+      }
+      for (auto& b : data) b = static_cast<uint8_t>(rng.uniform(256));
+      const BlockId id = cluster.write_block(data);
+      if (record) warmup_blocks[id] = data;
+      ++ops;
+    }
+  };
+
+  // Warm-up: one stripe to read from, its first data block's holder dead.
+  const cfs::StripeMeta meta =
+      cluster.stripe_meta(write_and_encode_stripe(true).first);
+  const BlockId victim = meta.data_blocks[0];
+  const std::vector<uint8_t> original = warmup_blocks.at(victim);
+  warmup_blocks.clear();
+  const NodeId holder = cluster.block_locations(victim)[0];
+  cluster.kill_node(holder);
+  const NodeId reader = (holder + 1) % topo.node_count();
+  ASSERT_EQ(cluster.read_block(victim, reader), original);
+  // Park more threads than one operation can occupy, so a thread still
+  // returning from the previous operation never forces a spawn.
+  {
+    constexpr int kParked = 24;
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0;
+    TaskGroup group(WorkerPool::shared());
+    for (int i = 0; i < kParked; ++i) {
+      group.submit([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        ++started;
+        cv.notify_all();
+        cv.wait(lock, [&] { return started == kParked; });
+      });
+    }
+  }
+
+  const int threads_before = WorkerPool::shared().thread_count();
+  const int64_t tasks_before = WorkerPool::shared().tasks_executed();
+  int ops = 0;
+  int degraded_reads = 0;
+  while (ops < 200) {
+    ops += write_and_encode_stripe(false).second;
+    for (int r = 0; r < 5; ++r) {
+      EXPECT_EQ(cluster.read_block(victim, reader), original);
+      ++degraded_reads;
+      ++ops;
+    }
+  }
+  EXPECT_EQ(WorkerPool::shared().thread_count(), threads_before);
+  // A degraded read of RS(n, k) fans out one lane per source: k lanes.
+  EXPECT_GE(WorkerPool::shared().tasks_executed() - tasks_before,
+            static_cast<int64_t>(degraded_reads) * k);
 }
 
 // ------------------------------------------- end-to-end chunked equivalence

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -261,6 +262,75 @@ TEST(NameNodeConcurrency, WritersEncodersRepairersSnapshottersRace) {
     EXPECT_EQ(*positions.rbegin(), k + m - 1);
   }
   EXPECT_GT(encoded, 0) << "harness never exercised the encode path";
+}
+
+// ------------------------------------------------- reads racing conversion
+
+TEST(NameNodeConcurrency, ReadsRacingEncodeReturnWrittenBytes) {
+  // Conversion deletes the redundant replicas of every block it encodes.
+  // Readers hammer the stripes at the encoder's front, so many reads pick a
+  // replica that the encode is deleting; each must still return the bytes
+  // the writer wrote, and none may fail.
+  const CfsConfig cfg = harness_config();
+  auto cfs = make_cfs(cfg);
+  const int node_count = cfs->topology().node_count();
+
+  // Written up front: the test races reads against conversion only.
+  std::map<BlockId, uint64_t> payload_seed;
+  uint64_t seq = 0;
+  while (cfs->sealed_stripes().size() < 150) {
+    const auto data = payload_for(seq, cfg.block_size);
+    payload_seed[cfs->write_block(data, static_cast<NodeId>(seq % node_count))] =
+        seq;
+    ++seq;
+  }
+  const std::vector<StripeId> stripes = cfs->sealed_stripes();
+  std::vector<std::vector<BlockId>> stripe_blocks;
+  for (const StripeId s : stripes) {
+    stripe_blocks.push_back(cfs->stripe_meta(s).data_blocks);
+  }
+
+  std::atomic<size_t> front{0};  // index of the stripe being encoded
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> reads{0};
+  std::atomic<int64_t> errors{0};
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 77);
+      while (!done.load()) {
+        const size_t s = std::min(front.load() + rng.index(2), stripes.size() - 1);
+        const auto& blocks = stripe_blocks[s];
+        const BlockId b = blocks[rng.index(blocks.size())];
+        const auto reader = static_cast<NodeId>(rng.index(
+            static_cast<size_t>(node_count)));
+        try {
+          const auto got = cfs->read_block(b, reader);
+          if (got != payload_for(payload_seed.at(b), cfg.block_size)) {
+            mismatches.fetch_add(1);
+          }
+        } catch (const std::exception&) {
+          errors.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+
+  for (size_t i = 0; i < stripes.size(); ++i) {
+    front.store(i);
+    // Let the readers converge on this stripe before converting it.
+    const int64_t target = reads.load() + 6;
+    while (reads.load() < target) std::this_thread::yield();
+    cfs->encode_stripe(stripes[i]);
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(errors.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_EQ(mismatches.load(), 0) << "of " << reads.load() << " reads";
+  for (const StripeId s : stripes) EXPECT_TRUE(cfs->is_encoded(s));
 }
 
 // ------------------------------------------------- snapshot property test
