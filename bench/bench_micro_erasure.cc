@@ -96,6 +96,32 @@ void BM_RsEncodeVandermonde(benchmark::State& state) {
 }
 BENCHMARK(BM_RsEncodeVandermonde)->Arg(10);
 
+// RS(14,10) through the ErasureCodec interface the data path calls: one
+// 256 KiB encode_chunk window of every data block (a pipeline chunk), so the
+// fused-sweep vs row-loop gap shows as EAR_GF_KERNEL=gfni vs avx2.
+void BM_RsEncodeChunk14x10(benchmark::State& state) {
+  constexpr size_t kChunk = 256 * 1024;
+  constexpr size_t kBlock = 4 * kChunk;
+  const auto codec = erasure::make_codec(erasure::CodecFamily::kRS, 14, 10);
+  std::vector<std::vector<uint8_t>> data, parity;
+  for (int i = 0; i < codec->k(); ++i) {
+    data.push_back(random_bytes(kBlock, static_cast<uint64_t>(i + 30)));
+  }
+  parity.assign(static_cast<size_t>(codec->m()), std::vector<uint8_t>(kBlock));
+  std::vector<erasure::BlockView> dv(data.begin(), data.end());
+  std::vector<erasure::MutBlockView> pv(parity.begin(), parity.end());
+  size_t offset = 0;
+  for (auto _ : state) {
+    codec->encode_chunk(dv, pv, offset, kChunk);
+    offset = (offset + kChunk) % kBlock;
+    benchmark::DoNotOptimize(parity[0].data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kChunk) * codec->k());
+  state.SetLabel(kernel_label());
+}
+BENCHMARK(BM_RsEncodeChunk14x10);
+
 void BM_RsDecodeWorstCase(benchmark::State& state) {
   // All n - k data blocks erased; rebuilt from the parity set.
   const int k = static_cast<int>(state.range(0));

@@ -17,6 +17,18 @@
 
 namespace ear::cfs {
 
+namespace {
+
+// A copy a read picked is gone: its node died after the liveness check, or
+// its store no longer holds the block.  A std::runtime_error, so callers
+// that treat a store miss as a failed operation still catch it.
+class SourceLost : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+}  // namespace
+
 MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
     : config_(config),
       topo_(config.racks, config.nodes_per_rack),
@@ -104,7 +116,7 @@ datapath::BlockBuffer MiniCfs::fetch(NodeId node, BlockId block) const {
   if (!bytes) {
     // Name everything a post-mortem needs: which replica map entry was
     // stale, which node's store, and which backend was serving it.
-    throw std::runtime_error(
+    throw SourceLost(
         "fetch: block " + std::to_string(block) + " not on node " +
         std::to_string(node) + " (" + dn.name() + " store holding " +
         std::to_string(dn.block_count()) + " blocks)");
@@ -117,7 +129,7 @@ datapath::BlockBuffer MiniCfs::fetch_range(NodeId node, BlockId block,
   const store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
   auto bytes = dn.get_range(block, offset, len);
   if (!bytes) {
-    throw std::runtime_error(
+    throw SourceLost(
         "fetch_range: block " + std::to_string(block) + " [" +
         std::to_string(offset) + ", +" + std::to_string(len) +
         ") not on node " + std::to_string(node) + " (" + dn.name() +
@@ -276,11 +288,27 @@ datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
 }
 
 datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
-  // Reconstruct from any k live blocks of the stripe.
   qos::OpScope op(qos::TrafficClass::kForegroundRead);
   obs::Span span("cfs.degraded_read", "cfs");
   span.arg("block", block);
   ctr_degraded_reads_->add();
+  // A helper picked from the live set can die, or lose its copy, before its
+  // bytes are fetched (repair and revival race reads); the read then starts
+  // over from a fresh liveness snapshot, as read_block does on a store
+  // miss.  Nothing has been written to the reader by then.
+  constexpr int kAttempts = 4;
+  for (int attempt = 1;; ++attempt) {
+    try {
+      return degraded_read_once(block, reader);
+    } catch (const SourceLost&) {
+      if (attempt == kAttempts) throw;
+    }
+  }
+}
+
+datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
+                                                  NodeId reader) {
+  // Reconstruct from any k live blocks of the stripe.
   const auto stripe_pos = ns_.find_block_stripe(block);
   if (!stripe_pos) {
     throw std::runtime_error("block lost and not in any stripe");
@@ -319,6 +347,19 @@ datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
     throw std::runtime_error("stripe unrecoverable: fewer than k live blocks");
   }
 
+  // The node serving stripe block `b`: SourceLost when every copy died
+  // since the liveness snapshot above.
+  const auto source_of = [this, reader](BlockId b) {
+    const auto locs = ns_.find_locations(b);
+    const NodeId s =
+        locs ? pick_source(*locs, reader, /*count=*/false) : kInvalidNode;
+    if (s == kInvalidNode) {
+      throw SourceLost("degraded read: every copy of block " +
+                       std::to_string(b) + " died mid-read");
+    }
+    return s;
+  };
+
   const Bytes sub = codec_->sub_block_size(config_.block_size);
   datapath::MutableBlockBuffer out(static_cast<size_t>(config_.block_size));
 
@@ -336,8 +377,7 @@ datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
       const auto it = std::find(live_ids.begin(), live_ids.end(), src.id);
       const BlockId b =
           live_blocks[static_cast<size_t>(it - live_ids.begin())];
-      const auto locs = ns_.find_locations(b);
-      const NodeId s = pick_source(*locs, reader, /*count=*/false);
+      const NodeId s = source_of(b);
       sources.push_back(s);
       for (const int z : src.sub_blocks) {
         unit_bufs.push_back(fetch_range(
@@ -422,10 +462,9 @@ datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
   std::vector<erasure::BlockView> views;
   for (size_t i = 0; i < chosen_ids.size(); ++i) {
     const BlockId b = live_blocks[i];
-    const auto locs = ns_.find_locations(b);
-    const NodeId s = pick_source(*locs, reader, /*count=*/false);
+    const NodeId s = source_of(b);
+    bufs.push_back(fetch(s, b));  // before the wire: a miss moves no bytes
     transport_->transfer(s, reader, config_.block_size);
-    bufs.push_back(fetch(s, b));
     views.emplace_back(bufs.back().span());
   }
   ctr_degraded_read_bytes_->add(static_cast<int64_t>(chosen_ids.size()) *

@@ -330,8 +330,10 @@ class MiniCfs {
 
   // Reconstructs `block` from k live stripe blocks through the staged
   // chunked pipeline (fan-out lanes when configured).  The slow path of
-  // read_block.
+  // read_block.  Retries degraded_read_once when a helper it picked is
+  // gone by the time its bytes are fetched.
   datapath::BlockBuffer degraded_read(BlockId block, NodeId reader);
+  datapath::BlockBuffer degraded_read_once(BlockId block, NodeId reader);
 
   CfsConfig config_;
   Topology topo_;

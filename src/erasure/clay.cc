@@ -210,6 +210,15 @@ void ClayCode::apply_sparse(const Sparse& rows,
                             size_t offset, size_t len) const {
   assert(outs.size() == rows.rows.size());
   // Each sparse row becomes one multi-source kernel sweep over its units.
+  // Deliberately not one apply_rows/mul_rows call: the encode rows of
+  // neighbouring sub-block planes read different units, so a fused 4-row
+  // group loads ~3.3x the units any one row needs (Clay(14,10): 30.6 live
+  // terms per row, 101.5 per group) and multiplies every one into all four
+  // rows.  Measured with the gfni kernel on a 4-vCPU AVX-512 VM, densified
+  // fused encode ran at 0.5 GB/s against 1.9 GB/s for these per-row sweeps
+  // (4.6 vs 8.2 GB/s at Clay(8,6)).  Clay's repair plans have near-identical
+  // row supports and do go through the fused path
+  // (ErasureCodec::apply_plan_chunk).
   std::vector<const uint8_t*> srcs;
   std::vector<uint8_t> coeffs;
   for (size_t r = 0; r < rows.rows.size(); ++r) {

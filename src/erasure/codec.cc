@@ -6,7 +6,6 @@
 
 #include "erasure/clay.h"
 #include "erasure/hitchhiker.h"
-#include "gf256/gf256.h"
 
 namespace ear::erasure {
 
@@ -68,25 +67,12 @@ void ErasureCodec::apply_plan_chunk(const RepairPlan& plan,
   assert(plan.coeffs.rows() == plan.alpha);
   assert(plan.coeffs.cols() == plan.total_units());
   const size_t sub = out_block.size() / static_cast<size_t>(plan.alpha);
-  // One multi-source sweep per output row; live (non-zero) terms are
-  // compacted first so the kernel only ever touches units the row reads.
-  std::vector<const uint8_t*> srcs;
-  std::vector<uint8_t> row;
-  srcs.reserve(units.size());
-  row.reserve(units.size());
+  std::vector<MutBlockView> outs;
+  outs.reserve(static_cast<size_t>(plan.alpha));
   for (int r = 0; r < plan.alpha; ++r) {
-    MutBlockView out =
-        out_block.subspan(static_cast<size_t>(r) * sub + offset, len);
-    srcs.clear();
-    row.clear();
-    for (int u = 0; u < plan.coeffs.cols(); ++u) {
-      const uint8_t coeff = plan.coeffs.at(r, u);
-      if (coeff == 0) continue;  // vector schedules are sparse; skip
-      srcs.push_back(units[static_cast<size_t>(u)].subspan(offset, len).data());
-      row.push_back(coeff);
-    }
-    gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
+    outs.push_back(out_block.subspan(static_cast<size_t>(r) * sub, sub));
   }
+  apply_rows(plan.coeffs, units, outs, offset, len);
 }
 
 void ErasureCodec::apply_plan(const RepairPlan& plan,
@@ -125,31 +111,6 @@ bool RsCodec::plan_repair(int lost_id, const std::vector<int>& available_ids,
 }
 
 // ------------------------------------------------------------------- LRC
-
-void LrcCodec::encode_chunk(const std::vector<BlockView>& data,
-                            const std::vector<MutBlockView>& parity,
-                            size_t offset, size_t len) const {
-  // All LRC parity rows are bytewise GF(2^8) combinations, so the windowed
-  // encode applies the generator's parity rows to the window directly.
-  assert(static_cast<int>(data.size()) == k());
-  assert(static_cast<int>(parity.size()) == m());
-  std::vector<const uint8_t*> srcs;
-  std::vector<uint8_t> row;
-  srcs.reserve(data.size());
-  row.reserve(data.size());
-  for (int j = 0; j < m(); ++j) {
-    MutBlockView out = parity[static_cast<size_t>(j)].subspan(offset, len);
-    srcs.clear();
-    row.clear();
-    for (int i = 0; i < k(); ++i) {
-      const uint8_t coeff = code_.generator().at(k() + j, i);
-      if (coeff == 0) continue;  // local parities touch one group only
-      srcs.push_back(data[static_cast<size_t>(i)].subspan(offset, len).data());
-      row.push_back(coeff);
-    }
-    gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
-  }
-}
 
 bool LrcCodec::encode_schedule(Matrix* out) const {
   Matrix rows(m(), k());

@@ -188,7 +188,9 @@ class LrcCodec final : public ErasureCodec {
 
   void encode_chunk(const std::vector<BlockView>& data,
                     const std::vector<MutBlockView>& parity, size_t offset,
-                    size_t len) const override;
+                    size_t len) const override {
+    code_.encode_chunk(data, parity, offset, len);
+  }
   bool encode_schedule(Matrix* out) const override;
   bool plan_repair(int lost_id, const std::vector<int>& available_ids,
                    RepairPlan* plan) const override;

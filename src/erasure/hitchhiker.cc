@@ -33,29 +33,16 @@ void HitchhikerCode::encode_chunk(const std::vector<BlockView>& data,
   const size_t sub = data.front().size() / 2;
   assert(data.front().size() % 2 == 0);
 
-  std::vector<const uint8_t*> srcs(static_cast<size_t>(k()));
-  std::vector<uint8_t> row(static_cast<size_t>(k()));
-  for (int j = 0; j < m(); ++j) {
-    // a-half: f_j(a); b-half: f_j(b), then the group piggyback for j >= 1.
-    for (int half = 0; half < 2; ++half) {
-      MutBlockView out = parity[static_cast<size_t>(j)].subspan(
-          static_cast<size_t>(half) * sub + offset, len);
-      for (int i = 0; i < k(); ++i) {
-        srcs[static_cast<size_t>(i)] =
-            data[static_cast<size_t>(i)]
-                .subspan(static_cast<size_t>(half) * sub + offset, len)
-                .data();
-        row[static_cast<size_t>(i)] = gen(j, i);
-      }
-      gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
-    }
-    if (j >= 1) {
-      MutBlockView out =
-          parity[static_cast<size_t>(j)].subspan(sub + offset, len);
-      for (const int i : groups_[static_cast<size_t>(j - 1)]) {
-        gf::xor_add(
-            data[static_cast<size_t>(i)].subspan(offset, len), out);
-      }
+  // a-half: f(a); b-half: f(b), then the group piggybacks for j >= 1.
+  const Matrix& f = base_.parity_coeffs();
+  for (int half = 0; half < 2; ++half) {
+    apply_rows(f, data, parity, static_cast<size_t>(half) * sub + offset, len);
+  }
+  for (int j = 1; j < m(); ++j) {
+    MutBlockView out =
+        parity[static_cast<size_t>(j)].subspan(sub + offset, len);
+    for (const int i : groups_[static_cast<size_t>(j - 1)]) {
+      gf::xor_add(data[static_cast<size_t>(i)].subspan(offset, len), out);
     }
   }
 }
@@ -252,6 +239,8 @@ bool HitchhikerCode::reconstruct(const std::vector<int>& available_ids,
   // Assemble the wanted blocks from the decoded data substripes.
   std::vector<BlockView> a_in(a_data.begin(), a_data.end());
   std::vector<BlockView> b_in(b_data.begin(), b_data.end());
+  std::vector<int> parity_rows;
+  std::vector<MutBlockView> parity_out;
   for (size_t w = 0; w < wanted_ids.size(); ++w) {
     const int id = wanted_ids[w];
     MutBlockView dst = out[w];
@@ -263,25 +252,27 @@ bool HitchhikerCode::reconstruct(const std::vector<int>& available_ids,
                 b_data[static_cast<size_t>(id)].end(),
                 dst.begin() + static_cast<ptrdiff_t>(sub));
     } else {
-      // Re-encode just this parity from the decoded data.
-      const int j = id - k();
-      std::vector<const uint8_t*> srcs(static_cast<size_t>(k()));
-      std::vector<uint8_t> row(static_cast<size_t>(k()));
-      for (int half = 0; half < 2; ++half) {
-        MutBlockView hv = dst.subspan(static_cast<size_t>(half) * sub, sub);
-        for (int i = 0; i < k(); ++i) {
-          srcs[static_cast<size_t>(i)] =
-              (half == 0 ? a_in[static_cast<size_t>(i)]
-                         : b_in[static_cast<size_t>(i)])
-                  .data();
-          row[static_cast<size_t>(i)] = gen(j, i);
-        }
-        gf::mul_add_multi(srcs, row, hv, /*accumulate=*/false);
+      parity_rows.push_back(id - k());
+      parity_out.push_back(dst);
+    }
+  }
+  if (!parity_rows.empty()) {
+    // Re-encode the wanted parities from the decoded data, one apply_rows
+    // per half, then put the piggybacks back on their b-halves.
+    const Matrix f = base_.parity_coeffs().select_rows(parity_rows);
+    const auto halves = [&parity_out, sub](size_t at) {
+      std::vector<MutBlockView> h;
+      for (const MutBlockView dst : parity_out) {
+        h.push_back(dst.subspan(at, sub));
       }
-      if (j >= 1) {
-        MutBlockView hv = dst.subspan(sub, sub);
-        gf::xor_add(piggy[static_cast<size_t>(j)], hv);
-      }
+      return h;
+    };
+    apply_rows(f, a_in, halves(0), 0, sub);
+    const std::vector<MutBlockView> b_halves = halves(sub);
+    apply_rows(f, b_in, b_halves, 0, sub);
+    for (size_t p = 0; p < parity_rows.size(); ++p) {
+      const int j = parity_rows[p];
+      if (j >= 1) gf::xor_add(piggy[static_cast<size_t>(j)], b_halves[p]);
     }
   }
   return true;

@@ -97,26 +97,6 @@ std::vector<int> independent_rows(const Matrix& rows, int k) {
   return chosen;
 }
 
-void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
-                const std::vector<MutBlockView>& dst) {
-  assert(static_cast<size_t>(coeffs.rows()) == dst.size());
-  assert(static_cast<size_t>(coeffs.cols()) == src.size());
-  for (int r = 0; r < coeffs.rows(); ++r) {
-    MutBlockView out = dst[static_cast<size_t>(r)];
-    bool first = true;
-    for (int c = 0; c < coeffs.cols(); ++c) {
-      const uint8_t coeff = coeffs.at(r, c);
-      if (first) {
-        gf::mul_assign(coeff, src[static_cast<size_t>(c)], out);
-        first = false;
-      } else {
-        gf::mul_add(coeff, src[static_cast<size_t>(c)], out);
-      }
-    }
-    if (first) std::fill(out.begin(), out.end(), uint8_t{0});
-  }
-}
-
 }  // namespace
 
 LRCCode::LRCCode(int k, int local_groups, int global_parities)
@@ -128,6 +108,9 @@ LRCCode::LRCCode(int k, int local_groups, int global_parities)
   if (g_ < 0 || n() > 255) {
     throw std::invalid_argument("LRC: invalid parity counts");
   }
+  std::vector<int> parity_rows;
+  for (int r = k_; r < n(); ++r) parity_rows.push_back(r);
+  parity_coeffs_ = generator_.select_rows(parity_rows);
 }
 
 int LRCCode::group_of(int block_id) const {
@@ -139,11 +122,15 @@ int LRCCode::group_of(int block_id) const {
 
 void LRCCode::encode(const std::vector<BlockView>& data,
                      const std::vector<MutBlockView>& parity) const {
+  encode_chunk(data, parity, 0, data.front().size());
+}
+
+void LRCCode::encode_chunk(const std::vector<BlockView>& data,
+                           const std::vector<MutBlockView>& parity,
+                           size_t offset, size_t len) const {
   assert(static_cast<int>(data.size()) == k_);
   assert(static_cast<int>(parity.size()) == l_ + g_);
-  std::vector<int> parity_rows;
-  for (int r = k_; r < n(); ++r) parity_rows.push_back(r);
-  apply_rows(generator_.select_rows(parity_rows), data, parity);
+  apply_rows(parity_coeffs_, data, parity, offset, len);
 }
 
 std::vector<int> LRCCode::repair_plan(int lost_id) const {
@@ -175,8 +162,8 @@ void LRCCode::repair(int lost_id, const std::vector<BlockView>& sources,
     return;
   }
   // Global parity: re-encode its generator row over the data blocks.
-  const Matrix row = generator_.select_rows({lost_id});
-  apply_rows(row, sources, {out});
+  apply_rows(generator_.select_rows({lost_id}), sources, {out}, 0,
+             out.size());
 }
 
 bool LRCCode::reconstruct(const std::vector<int>& available_ids,
@@ -199,7 +186,7 @@ bool LRCCode::reconstruct(const std::vector<int>& available_ids,
   const Matrix decode = generator_.select_rows(chosen_ids).inverted();
   if (decode.rows() == 0) return false;
   const Matrix coeffs = generator_.select_rows(wanted_ids).multiply(decode);
-  apply_rows(coeffs, chosen_blocks, out);
+  apply_rows(coeffs, chosen_blocks, out, 0, chosen_blocks.front().size());
   return true;
 }
 

@@ -45,6 +45,12 @@ class LRCCode {
   void encode(const std::vector<BlockView>& data,
               const std::vector<MutBlockView>& parity) const;
 
+  // Parity bytes [offset, offset + len) from the same window of every data
+  // block; encode() is one full-size window.
+  void encode_chunk(const std::vector<BlockView>& data,
+                    const std::vector<MutBlockView>& parity, size_t offset,
+                    size_t len) const;
+
   // Blocks to read for the cheapest repair of a single lost block:
   // the lost block's local group (group_size blocks) for data and local
   // parities, k data blocks for a global parity.
@@ -68,6 +74,7 @@ class LRCCode {
   int l_;
   int g_;
   Matrix generator_;
+  Matrix parity_coeffs_;  // rows k..n-1 of the generator (cached)
 };
 
 }  // namespace ear::erasure

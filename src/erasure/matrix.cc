@@ -133,4 +133,27 @@ std::string Matrix::to_string() const {
   return out;
 }
 
+void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
+                const std::vector<MutBlockView>& dst, size_t offset,
+                size_t len) {
+  assert(static_cast<size_t>(coeffs.rows()) == dst.size());
+  assert(static_cast<size_t>(coeffs.cols()) == src.size());
+  std::vector<const uint8_t*> srcs;
+  srcs.reserve(src.size());
+  for (const BlockView s : src) {
+    assert(offset + len <= s.size());
+    srcs.push_back(s.data() + offset);
+  }
+  std::vector<uint8_t*> dsts;
+  dsts.reserve(dst.size());
+  for (const MutBlockView d : dst) {
+    assert(offset + len <= d.size());
+    dsts.push_back(d.data() + offset);
+  }
+  gf::mul_rows(dsts, srcs,
+               {coeffs.row(0), static_cast<size_t>(coeffs.rows()) *
+                                   static_cast<size_t>(coeffs.cols())},
+               len);
+}
+
 }  // namespace ear::erasure

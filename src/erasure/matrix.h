@@ -1,15 +1,19 @@
 // Dense matrices over GF(2^8) used to build and invert Reed-Solomon
-// generator matrices.  Sizes here are tiny (n, k <= a few dozen), so clarity
-// wins over blocking/tiling.
+// generator matrices, and `apply_rows`, which applies one to blocks.  Sizes
+// here are tiny (n, k <= a few dozen), so clarity wins over blocking/tiling.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace ear::erasure {
+
+using BlockView = std::span<const uint8_t>;
+using MutBlockView = std::span<uint8_t>;
 
 class Matrix {
  public:
@@ -65,5 +69,14 @@ class Matrix {
   int cols_ = 0;
   std::vector<uint8_t> data_;
 };
+
+// dst[r][offset, offset + len) = sum_c coeffs(r, c) * src[c][offset,
+// offset + len) for every row r, as one gf::mul_rows call: the fused kernel
+// streams every source once for several rows, and zero coefficients (local
+// parities, sparse repair schedules) are skipped inside it.  Every codec's
+// byte-wise encode, decode and repair row application goes through here.
+void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
+                const std::vector<MutBlockView>& dst, size_t offset,
+                size_t len);
 
 }  // namespace ear::erasure

@@ -1,9 +1,6 @@
 #include "erasure/rs.h"
 
-#include <algorithm>
 #include <cassert>
-
-#include "gf256/gf256.h"
 
 namespace ear::erasure {
 
@@ -31,43 +28,6 @@ Matrix make_generator(int n, int k, Construction construction) {
   return v.multiply(head_inv);
 }
 
-// dst[j] = sum_i coeff[row][i] * src[i], applied blockwise: each output row
-// is one multi-source kernel sweep, so the destination stays register/cache
-// resident while every source streams through once.
-void apply_rows(const Matrix& coeffs, const std::vector<BlockView>& src,
-                const std::vector<MutBlockView>& dst) {
-  assert(static_cast<size_t>(coeffs.rows()) == dst.size());
-  assert(static_cast<size_t>(coeffs.cols()) == src.size());
-  std::vector<const uint8_t*> srcs(src.size());
-  std::vector<uint8_t> row(src.size());
-  for (size_t c = 0; c < src.size(); ++c) srcs[c] = src[c].data();
-  for (int r = 0; r < coeffs.rows(); ++r) {
-    MutBlockView out = dst[static_cast<size_t>(r)];
-    for (int c = 0; c < coeffs.cols(); ++c) {
-      assert(src[static_cast<size_t>(c)].size() == out.size());
-      row[static_cast<size_t>(c)] = coeffs.at(r, c);
-    }
-    gf::mul_add_multi(srcs, row, out, /*accumulate=*/false);
-  }
-}
-
-// Windowed views of each block: bytes [offset, offset + len).
-std::vector<BlockView> sub_views(const std::vector<BlockView>& views,
-                                 size_t offset, size_t len) {
-  std::vector<BlockView> out;
-  out.reserve(views.size());
-  for (const BlockView v : views) out.push_back(v.subspan(offset, len));
-  return out;
-}
-
-std::vector<MutBlockView> sub_views(const std::vector<MutBlockView>& views,
-                                    size_t offset, size_t len) {
-  std::vector<MutBlockView> out;
-  out.reserve(views.size());
-  for (const MutBlockView v : views) out.push_back(v.subspan(offset, len));
-  return out;
-}
-
 }  // namespace
 
 RSCode::RSCode(int n, int k, Construction construction)
@@ -92,8 +52,7 @@ void RSCode::encode_chunk(const std::vector<BlockView>& data,
                           size_t offset, size_t len) const {
   assert(static_cast<int>(data.size()) == k_);
   assert(static_cast<int>(parity.size()) == m());
-  apply_rows(parity_coeffs_, sub_views(data, offset, len),
-             sub_views(parity, offset, len));
+  apply_rows(parity_coeffs_, data, parity, offset, len);
 }
 
 bool RSCode::plan_reconstruct(const std::vector<int>& available_ids,
@@ -127,8 +86,7 @@ void RSCode::decode_chunk(const Matrix& coeffs,
                           const std::vector<BlockView>& available,
                           const std::vector<MutBlockView>& out,
                           size_t offset, size_t len) {
-  apply_rows(coeffs, sub_views(available, offset, len),
-             sub_views(out, offset, len));
+  apply_rows(coeffs, available, out, offset, len);
 }
 
 bool RSCode::reconstruct(const std::vector<int>& available_ids,

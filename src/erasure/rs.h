@@ -24,9 +24,6 @@
 
 namespace ear::erasure {
 
-using BlockView = std::span<const uint8_t>;
-using MutBlockView = std::span<uint8_t>;
-
 enum class Construction { kVandermonde, kCauchy };
 
 class RSCode {
@@ -41,6 +38,8 @@ class RSCode {
 
   // Full n x k systematic generator (top k rows are the identity).
   const Matrix& generator() const { return generator_; }
+  // Its bottom m rows: parity r is sum_i parity_coeffs()(r, i) * data[i].
+  const Matrix& parity_coeffs() const { return parity_coeffs_; }
 
   // Computes the m parity blocks from the k data blocks.  All blocks must
   // have equal size; parity blocks are overwritten.

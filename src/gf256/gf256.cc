@@ -38,4 +38,13 @@ void mul_add_multi(std::span<const uint8_t* const> srcs,
                          dst.size(), accumulate);
 }
 
+void mul_rows(std::span<uint8_t* const> dsts,
+              std::span<const uint8_t* const> srcs,
+              std::span<const uint8_t> coeffs, size_t n) {
+  assert(coeffs.size() == dsts.size() * srcs.size());
+  if (n == 0 || dsts.empty()) return;
+  kernel().mul_rows(dsts.data(), dsts.size(), srcs.data(), coeffs.data(),
+                    srcs.size(), n);
+}
+
 }  // namespace ear::gf

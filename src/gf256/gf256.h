@@ -10,11 +10,13 @@
 // matrix inversion and plan construction need them at compile time and on
 // one byte at a time, where SIMD buys nothing.
 //
-// The bulk kernels (`mul_add`, `mul_assign`, `xor_add`, `mul_add_multi`)
-// dispatch through a per-ISA function table selected once at startup (see
-// kernel.h): a scalar low/high-nibble split-table reference, and SSSE3 /
-// AVX2 / NEON shuffle kernels that apply the same 16-entry nibble tables
-// with PSHUFB/VPSHUFB/TBL, 32–64 bytes per iteration.  Every kernel is
+// The bulk kernels (`mul_add`, `mul_assign`, `xor_add`, `mul_add_multi`,
+// `mul_rows`) dispatch through a per-ISA function table selected once at
+// startup (see kernel.h), best first: a GFNI kernel (AVX-512BW, one
+// VGF2P8AFFINEQB bit-matrix multiply per 64 bytes, several output rows per
+// sweep), AVX2 / SSSE3 / NEON shuffle kernels that apply 16-entry nibble
+// tables with VPSHUFB/PSHUFB/TBL, 32–64 bytes per iteration, and the scalar
+// low/high-nibble split-table reference.  Every kernel is
 // bit-compatible with the scalar field for all coefficients, lengths and
 // alignments (enforced exhaustively by tests/gf256_kernel_test.cc); the
 // `EAR_GF_KERNEL` environment variable pins a specific kernel for tests
@@ -114,13 +116,24 @@ void mul_assign(uint8_t c, std::span<const uint8_t> src,
 void xor_add(std::span<const uint8_t> src, std::span<uint8_t> dst);
 
 // dst = (accumulate ? dst : 0) XOR sum_j coeffs[j] * srcs[j], in one sweep
-// over dst: the whole-row kernel behind RS/LRC/Clay row application, plan
-// execution and the ecdag executor's compiled term lists.  Zero
+// over dst: the single-row kernel behind Clay's sparse rows and the ecdag
+// executor's compiled term lists (whole matrices go through mul_rows).  Zero
 // coefficients are skipped (sparse schedules pass them freely); with no
 // live term and !accumulate, dst is zero-filled.  Each srcs[j] must cover
 // dst.size() bytes and must not alias dst.
 void mul_add_multi(std::span<const uint8_t* const> srcs,
                    std::span<const uint8_t> coeffs, std::span<uint8_t> dst,
                    bool accumulate);
+
+// dsts[r][0, n) = sum_j coeffs[r * srcs.size() + j] * srcs[j][0, n) for
+// every row r: a row-major dsts.size() x srcs.size() coefficient matrix
+// applied whole — the codecs' encode/decode/repair call.  Zero coefficients
+// are skipped and an all-zero row is zero-filled; the bytes equal one
+// mul_add_multi(accumulate=false) per row, but a fused kernel loads each
+// source once for several rows.  Each srcs[j] must cover n bytes and must
+// not alias any destination.
+void mul_rows(std::span<uint8_t* const> dsts,
+              std::span<const uint8_t* const> srcs,
+              std::span<const uint8_t> coeffs, size_t n);
 
 }  // namespace ear::gf

@@ -82,8 +82,12 @@ void scalar_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
 }
 
 constexpr GfKernel kScalarKernel = {
-    "scalar",          detail::scalar_mul_add, detail::scalar_mul_assign,
-    detail::scalar_xor_add, scalar_mul_add_multi,
+    "scalar",
+    detail::scalar_mul_add,
+    detail::scalar_mul_assign,
+    detail::scalar_xor_add,
+    scalar_mul_add_multi,
+    detail::mul_rows_by_row<scalar_mul_add_multi>,
 };
 
 std::atomic<const GfKernel*> g_override{nullptr};
@@ -96,6 +100,10 @@ std::atomic<const GfKernel*> g_override{nullptr};
 extern const GfKernel kSsse3Kernel;
 extern const GfKernel kAvx2Kernel;
 #endif
+#if defined(EAR_GF_GFNI)
+// kernel_gfni.cc, compiled with -mavx512f -mavx512bw -mgfni.
+extern const GfKernel kGfniKernel;
+#endif
 #if defined(EAR_GF_NEON)
 extern const GfKernel kNeonKernel;  // kernel_neon.cc; NEON is baseline on
                                     // aarch64, no runtime probe needed
@@ -103,6 +111,11 @@ extern const GfKernel kNeonKernel;  // kernel_neon.cc; NEON is baseline on
 
 std::vector<const GfKernel*> compiled_kernels() {
   std::vector<const GfKernel*> out;
+#if defined(EAR_GF_GFNI)
+  if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx512bw")) {
+    out.push_back(&kGfniKernel);
+  }
+#endif
 #if defined(EAR_GF_X86)
   if (__builtin_cpu_supports("avx2")) out.push_back(&kAvx2Kernel);
   if (__builtin_cpu_supports("ssse3")) out.push_back(&kSsse3Kernel);

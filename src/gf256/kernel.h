@@ -3,15 +3,20 @@
 // The scalar field (`mul`, `inv`, log/exp tables in gf256.h) is the single
 // source of truth; every kernel here is an alternative *implementation* of
 // the same bulk operations, required to be byte-identical to the scalar
-// reference for all inputs (DESIGN.md invariant 10).  The SIMD variants use
-// the ISA-L shuffle idiom: a per-coefficient pair of 16-entry nibble tables
-// applied with PSHUFB/VPSHUFB (x86) or TBL (NEON), so one vector op computes
-// 16/32 products.
+// reference for all inputs (DESIGN.md invariant 10).  Kernels:
+//   * scalar — low/high-nibble split tables, one byte at a time;
+//   * ssse3 / avx2 / neon — the ISA-L shuffle idiom: a per-coefficient pair
+//     of 16-entry nibble tables applied with PSHUFB/VPSHUFB (x86) or TBL
+//     (NEON), so one vector op computes 16/32 products;
+//   * gfni — AVX-512BW + GFNI: multiplication by c is a GF(2)-linear map on
+//     the byte's bits, i.e. one 8x8 bit matrix applied with VGF2P8AFFINEQB,
+//     64 products per instruction.  Its mul_rows computes up to four output
+//     rows per sweep over the sources.
 //
 // Selection happens once, on the first call to `kernel()`:
-//   * `EAR_GF_KERNEL=auto` (or unset): the widest kernel the CPU supports
-//     (avx2 > ssse3 > neon > scalar).
-//   * `EAR_GF_KERNEL=scalar|ssse3|avx2|neon`: that kernel, or a loud
+//   * `EAR_GF_KERNEL=auto` (or unset): the best kernel the CPU supports
+//     (gfni > avx2 > ssse3 > neon > scalar).
+//   * `EAR_GF_KERNEL=scalar|ssse3|avx2|gfni|neon`: that kernel, or a loud
 //     std::runtime_error naming the supported values if it is unknown or not
 //     available on this CPU (mirrors the checkpoint version-error style).
 // Tests switch kernels in-process with `KernelOverride`.
@@ -32,7 +37,13 @@ namespace ear::gf {
 //                  srcs[j][i], zero coefficients skipped.  One sweep over
 //                  dst replaces nsrc separate mul_add passes, so dst traffic
 //                  stays resident while every source streams through once.
-// Sources must not alias dst. Zero-length calls are no-ops.
+//   mul_rows:      dsts[r][i] = XOR_j coeffs[r * nsrc + j] * srcs[j][i] for
+//                  r < ndst: a row-major ndst x nsrc coefficient matrix
+//                  applied in full.  Zero coefficients are skipped and an
+//                  all-zero row is zero-filled, so the result equals
+//                  mul_add_multi(accumulate=false) once per row; a fused
+//                  kernel loads each source once for several rows.
+// Sources must not alias any destination. Zero-length calls are no-ops.
 struct GfKernel {
   const char* name;
   void (*mul_add)(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
@@ -41,6 +52,9 @@ struct GfKernel {
   void (*mul_add_multi)(uint8_t* dst, const uint8_t* const* srcs,
                         const uint8_t* coeffs, size_t nsrc, size_t n,
                         bool accumulate);
+  void (*mul_rows)(uint8_t* const* dsts, size_t ndst,
+                   const uint8_t* const* srcs, const uint8_t* coeffs,
+                   size_t nsrc, size_t n);
 };
 
 // The active kernel. First call resolves EAR_GF_KERNEL (function-local
@@ -87,6 +101,19 @@ NibbleTables make_nibble_tables(uint8_t c);
 void scalar_mul_add(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
 void scalar_mul_assign(uint8_t c, const uint8_t* src, uint8_t* dst, size_t n);
 void scalar_xor_add(const uint8_t* src, uint8_t* dst, size_t n);
+
+// mul_rows as one mul_add_multi sweep per output row: the implementation of
+// every kernel without a fused multi-row sweep (scalar, ssse3, avx2, neon).
+template <void (*MulAddMulti)(uint8_t*, const uint8_t* const*, const uint8_t*,
+                              size_t, size_t, bool)>
+void mul_rows_by_row(uint8_t* const* dsts, size_t ndst,
+                     const uint8_t* const* srcs, const uint8_t* coeffs,
+                     size_t nsrc, size_t n) {
+  for (size_t r = 0; r < ndst; ++r) {
+    MulAddMulti(dsts[r], srcs, coeffs + r * nsrc, nsrc, n,
+                /*accumulate=*/false);
+  }
+}
 
 }  // namespace detail
 

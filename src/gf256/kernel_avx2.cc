@@ -185,8 +185,12 @@ void avx2_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
 
 extern const GfKernel kAvx2Kernel;
 const GfKernel kAvx2Kernel = {
-    "avx2",          avx2_mul_add, avx2_mul_assign,
-    avx2_xor_add, avx2_mul_add_multi,
+    "avx2",
+    avx2_mul_add,
+    avx2_mul_assign,
+    avx2_xor_add,
+    avx2_mul_add_multi,
+    detail::mul_rows_by_row<avx2_mul_add_multi>,
 };
 
 }  // namespace ear::gf

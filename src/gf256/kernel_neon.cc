@@ -140,8 +140,12 @@ void neon_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
 
 extern const GfKernel kNeonKernel;
 const GfKernel kNeonKernel = {
-    "neon",          neon_mul_add, neon_mul_assign,
-    neon_xor_add, neon_mul_add_multi,
+    "neon",
+    neon_mul_add,
+    neon_mul_assign,
+    neon_xor_add,
+    neon_mul_add_multi,
+    detail::mul_rows_by_row<neon_mul_add_multi>,
 };
 
 }  // namespace ear::gf

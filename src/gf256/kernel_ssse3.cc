@@ -181,8 +181,12 @@ void ssse3_mul_add_multi(uint8_t* dst, const uint8_t* const* srcs,
 
 extern const GfKernel kSsse3Kernel;
 const GfKernel kSsse3Kernel = {
-    "ssse3",           ssse3_mul_add, ssse3_mul_assign,
-    ssse3_xor_add, ssse3_mul_add_multi,
+    "ssse3",
+    ssse3_mul_add,
+    ssse3_mul_assign,
+    ssse3_xor_add,
+    ssse3_mul_add_multi,
+    detail::mul_rows_by_row<ssse3_mul_add_multi>,
 };
 
 }  // namespace ear::gf

@@ -1,7 +1,7 @@
 // Kernel-equivalence layer for the runtime-dispatched GF(2^8) kernels:
-// every compiled kernel (scalar, ssse3, avx2, neon — whatever this build
-// and CPU provide) must be byte-identical to the scalar reference for
-// every coefficient, the ISSUE-pinned length set, and every src/dst
+// every compiled kernel (scalar, ssse3, avx2, gfni, neon — whatever this
+// build and CPU provide) must be byte-identical to the scalar reference for
+// every coefficient, the pinned length set, and every src/dst
 // misalignment, plus race-free dispatch init and loud failure on unknown
 // EAR_GF_KERNEL values.  Each TEST runs in its own process (ctest runs
 // gtest cases individually), so the dispatch race test really is a first
@@ -265,6 +265,91 @@ TEST(Gf256Kernel, MulAddMultiMatchesTermByTermScalar) {
   }
 }
 
+// mul_rows must equal the scalar row loop (one mul_add_multi with
+// accumulate=false per row) for 1..9 rows (so a 4-row fused group leaves
+// every remainder), 1..32 sources (crossing the per-sweep source batch),
+// whole zero columns and all-zero rows, every kLens length and per-buffer
+// src/dst misalignments.  Each destination row is its own buffer with
+// sentinel padding on both sides, so a write outside any row's window is a
+// mismatch too.
+TEST(Gf256Kernel, MulRowsByteIdenticalToScalarRowLoop) {
+  Rng rng(1312);
+  constexpr size_t kMaxRows = 9;
+  constexpr size_t kMaxSrcs = 32;
+  std::vector<std::vector<uint8_t>> pools(kMaxSrcs,
+                                          std::vector<uint8_t>(kMaxLen + 16));
+  for (auto& pool : pools) {
+    for (auto& v : pool) v = static_cast<uint8_t>(rng.uniform(256));
+  }
+  const auto kernels = compiled_kernels();
+  const GfKernel& scalar = *kernels.back();
+  size_t lens_cursor = 0;
+  for (size_t ndst = 1; ndst <= kMaxRows; ++ndst) {
+    for (size_t nsrc = 1; nsrc <= kMaxSrcs; ++nsrc) {
+      // Coefficients: some whole columns zero, some whole rows zero, the
+      // rest biased toward the special values 0 and 1.
+      std::vector<uint8_t> coeffs(ndst * nsrc);
+      std::vector<bool> dead_col(nsrc), dead_row(ndst);
+      for (size_t j = 0; j < nsrc; ++j) dead_col[j] = rng.uniform(6) == 0;
+      for (size_t r = 0; r < ndst; ++r) dead_row[r] = rng.uniform(5) == 0;
+      for (size_t r = 0; r < ndst; ++r) {
+        for (size_t j = 0; j < nsrc; ++j) {
+          const int draw = rng.uniform(10);
+          coeffs[r * nsrc + j] =
+              dead_row[r] || dead_col[j] || draw < 2 ? uint8_t{0}
+              : draw < 4                             ? uint8_t{1}
+                         : static_cast<uint8_t>(rng.uniform(256));
+        }
+      }
+      std::vector<const uint8_t*> srcs(nsrc);
+      for (size_t j = 0; j < nsrc; ++j) {
+        srcs[j] = pools[j].data() + rng.uniform(16);
+      }
+      // Two lengths per shape walk the whole kLens grid many times over.
+      for (int rep = 0; rep < 2; ++rep) {
+        const size_t len = kLens[lens_cursor++ % std::size(kLens)];
+        std::vector<size_t> doff(ndst);
+        std::vector<std::vector<uint8_t>> want(ndst);
+        for (size_t r = 0; r < ndst; ++r) {
+          doff[r] = static_cast<size_t>(rng.uniform(16));
+          want[r].resize(kPad + doff[r] + len + kPad);
+          for (auto& v : want[r]) v = static_cast<uint8_t>(rng.uniform(256));
+        }
+        const auto base = want;
+        for (size_t r = 0; r < ndst; ++r) {
+          scalar.mul_add_multi(want[r].data() + kPad + doff[r], srcs.data(),
+                               coeffs.data() + r * nsrc, nsrc, len,
+                               /*accumulate=*/false);
+        }
+        for (const GfKernel* k : kernels) {
+          auto got = base;
+          std::vector<uint8_t*> dsts(ndst);
+          for (size_t r = 0; r < ndst; ++r) {
+            dsts[r] = got[r].data() + kPad + doff[r];
+          }
+          k->mul_rows(dsts.data(), ndst, srcs.data(), coeffs.data(), nsrc,
+                      len);
+          ASSERT_EQ(got, want) << "kernel=" << k->name << " ndst=" << ndst
+                               << " nsrc=" << nsrc << " len=" << len;
+        }
+      }
+    }
+  }
+}
+
+// On a CPU with GFNI and AVX-512BW, `auto` must pick the fused gfni kernel.
+TEST(Gf256Kernel, DispatchPrefersGfni) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("gfni") || !__builtin_cpu_supports("avx512bw")) {
+    GTEST_SKIP() << "CPU lacks gfni/avx512bw";
+  }
+  EXPECT_STREQ(resolve_kernel("auto").name, "gfni");
+  EXPECT_STREQ(compiled_kernels().front()->name, "gfni");
+#else
+  GTEST_SKIP() << "gfni is an x86 kernel";
+#endif
+}
+
 // The span-level API must route every consumer through the active kernel:
 // a scalar override and the dispatched default must produce identical
 // bytes through gf::mul_add_multi.
@@ -284,6 +369,20 @@ TEST(Gf256Kernel, SpanApiMatchesAcrossOverride) {
     mul_add_multi(srcs, coeffs, b, /*accumulate=*/true);
   }
   EXPECT_EQ(a, b);
+
+  // gf::mul_rows: a 2 x 2 matrix with an all-zero second row.
+  const std::vector<uint8_t> matrix{0x53, 0x01, 0x00, 0x00};
+  std::vector<uint8_t> r0 = base, r1 = base, s_r0 = base, s_r1 = base;
+  const std::vector<uint8_t*> rows{r0.data(), r1.data()};
+  mul_rows(rows, srcs, matrix, base.size());
+  {
+    KernelOverride force_scalar("scalar");
+    const std::vector<uint8_t*> s_rows{s_r0.data(), s_r1.data()};
+    mul_rows(s_rows, srcs, matrix, base.size());
+  }
+  EXPECT_EQ(r0, s_r0);
+  EXPECT_EQ(r1, std::vector<uint8_t>(base.size(), 0));
+  EXPECT_EQ(s_r1, r1);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -331,6 +332,168 @@ TEST(NameNodeConcurrency, ReadsRacingEncodeReturnWrittenBytes) {
   EXPECT_EQ(errors.load(), 0) << "of " << reads.load() << " reads";
   EXPECT_EQ(mismatches.load(), 0) << "of " << reads.load() << " reads";
   for (const StripeId s : stripes) EXPECT_TRUE(cfs->is_encoded(s));
+}
+
+// ------------------------------------------- reads racing repair / restart
+
+// Reader threads that read random blocks from random nodes until stopped,
+// checking every payload against the writer-side record.
+class RacingReaders {
+ public:
+  RacingReaders(MiniCfs& cfs, std::map<BlockId, uint64_t> payload_seed,
+                int threads)
+      : cfs_(cfs), payload_seed_(std::move(payload_seed)) {
+    for (const auto& [block, seed] : payload_seed_) blocks_.push_back(block);
+    const size_t nodes = static_cast<size_t>(cfs_.topology().node_count());
+    for (int r = 0; r < threads; ++r) {
+      threads_.emplace_back([this, r, nodes] {
+        Rng rng(static_cast<uint64_t>(r) + 501);
+        while (!done_.load()) {
+          const BlockId b = blocks_[rng.index(blocks_.size())];
+          const auto reader = static_cast<NodeId>(rng.index(nodes));
+          try {
+            const auto got = cfs_.read_block(b, reader);
+            const auto want =
+                payload_for(payload_seed_.at(b), cfs_.config().block_size);
+            if (got != want) mismatches_.fetch_add(1);
+          } catch (const std::exception&) {
+            errors_.fetch_add(1);
+          }
+          reads_.fetch_add(1);
+        }
+      });
+    }
+  }
+  ~RacingReaders() { stop(); }
+
+  // Blocks the caller until the readers have completed `n` more reads, so
+  // every step of the scenario overlaps live reads.
+  void await_reads(int64_t n) const {
+    const int64_t target = reads_.load() + n;
+    while (reads_.load() < target) std::this_thread::yield();
+  }
+
+  void stop() {
+    done_.store(true);
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  int64_t reads() const { return reads_.load(); }
+  int64_t errors() const { return errors_.load(); }
+  int64_t mismatches() const { return mismatches_.load(); }
+
+ private:
+  MiniCfs& cfs_;
+  const std::map<BlockId, uint64_t> payload_seed_;
+  std::vector<BlockId> blocks_;
+  std::atomic<bool> done_{false};
+  std::atomic<int64_t> reads_{0};
+  std::atomic<int64_t> errors_{0};
+  std::atomic<int64_t> mismatches_{0};
+  std::vector<std::thread> threads_;
+};
+
+// Writes `stripes` sealed stripes and encodes the first half of them, so
+// the cluster holds both replicated and erasure-coded blocks.  Returns the
+// writer-side record: block -> payload seed.
+std::map<BlockId, uint64_t> populate_half_encoded(MiniCfs& cfs,
+                                                  size_t stripes) {
+  const int node_count = cfs.topology().node_count();
+  std::map<BlockId, uint64_t> payload_seed;
+  uint64_t seq = 0;
+  while (cfs.sealed_stripes().size() < stripes) {
+    const auto data = payload_for(seq, cfs.config().block_size);
+    payload_seed[cfs.write_block(data, static_cast<NodeId>(seq % node_count))] =
+        seq;
+    ++seq;
+  }
+  const std::vector<StripeId> sealed = cfs.sealed_stripes();
+  for (size_t i = 0; i < sealed.size() / 2; ++i) cfs.encode_stripe(sealed[i]);
+  return payload_seed;
+}
+
+TEST(NameNodeConcurrency, ReadsRacingRepairReturnWrittenBytes) {
+  // Nodes die one after another and RepairManager restores each — decoding
+  // the lost blocks of encoded stripes onto new nodes, re-replicating
+  // replicated ones — while readers hammer every block.  Until a repaired
+  // copy is registered a read of the victim's blocks goes to a surviving
+  // replica or degraded; every read must return the writer's bytes.
+  const CfsConfig cfg = harness_config();
+  auto cfs = make_cfs(cfg);
+  RacingReaders readers(*cfs, populate_half_encoded(*cfs, 40), 3);
+
+  failure::RepairConfig rcfg;
+  rcfg.workers = 2;
+  // Each repair task waits for a few reads, so reads interleave with every
+  // step of the restore.
+  rcfg.on_task = [&readers](BlockId, int) { readers.await_reads(2); };
+  failure::RepairManager repair(*cfs, rcfg);
+  repair.start();
+  for (const NodeId victim : {4, 17, 23}) {
+    readers.await_reads(20);
+    cfs->kill_node(victim);
+    ASSERT_GT(repair.schedule_node(victim), 0) << "victim " << victim;
+    repair.wait_idle();
+  }
+  readers.await_reads(20);
+  repair.stop();
+  readers.stop();
+
+  const auto report = repair.report();
+  EXPECT_GT(report.repaired, 0) << "no encoded block was decoded";
+  EXPECT_GT(report.re_replicated, 0) << "no replica was re-created";
+  EXPECT_EQ(report.unrecoverable, 0);
+  EXPECT_EQ(readers.errors(), 0) << "of " << readers.reads() << " reads";
+  EXPECT_EQ(readers.mismatches(), 0) << "of " << readers.reads() << " reads";
+}
+
+TEST(NameNodeConcurrency, ReadsRacingRestartReturnWrittenBytes) {
+  // Persistent stores: a node is killed, its blocks are re-homed by repair,
+  // and restart_node then reopens its store and re-registers every copy
+  // that survived on disk — while readers hammer every block.  A second
+  // round restarts a node without repair in between (nothing re-homed, its
+  // locations never left the namespace).  Every read must return the
+  // writer's bytes.
+  CfsConfig cfg = harness_config();
+  cfg.store_backend = store::StoreBackend::kMmap;
+  cfg.store_dir = ::testing::TempDir() + "/ear-store-nn-restart";
+  std::filesystem::remove_all(cfg.store_dir);
+  auto cfs = make_cfs(cfg);
+  {
+    RacingReaders readers(*cfs, populate_half_encoded(*cfs, 40), 3);
+    failure::RepairConfig rcfg;
+    rcfg.workers = 2;
+    rcfg.on_task = [&readers](BlockId, int) { readers.await_reads(1); };
+    failure::RepairManager repair(*cfs, rcfg);
+    repair.start();
+
+    int64_t reregistered = 0;
+    for (const NodeId victim : {4, 17}) {
+      readers.await_reads(20);
+      cfs->kill_node(victim);
+      repair.schedule_node(victim);
+      repair.wait_idle();
+      readers.await_reads(20);
+      reregistered += cfs->restart_node(victim).blocks_reregistered;
+    }
+    readers.await_reads(20);
+    cfs->kill_node(9);
+    readers.await_reads(20);
+    const auto quiet = cfs->restart_node(9);
+    EXPECT_EQ(quiet.locations_pruned, 0);
+    EXPECT_EQ(quiet.blocks_reregistered, 0);
+    readers.await_reads(20);
+    repair.stop();
+    readers.stop();
+
+    EXPECT_GT(reregistered, 0) << "no surviving copy was re-registered";
+    EXPECT_EQ(readers.errors(), 0) << "of " << readers.reads() << " reads";
+    EXPECT_EQ(readers.mismatches(), 0) << "of " << readers.reads() << " reads";
+  }
+  cfs.reset();
+  std::filesystem::remove_all(cfg.store_dir);
 }
 
 // ------------------------------------------------- snapshot property test
