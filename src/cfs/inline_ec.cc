@@ -46,7 +46,9 @@ StripeId MiniCfs::write_encoded_stripe(
     std::vector<erasure::MutBlockView> pv;
     pv.reserve(static_cast<size_t>(m));
     for (int j = 0; j < m; ++j) {
-      parity.emplace_back(static_cast<size_t>(config_.block_size));
+      // encode writes every parity byte.
+      parity.push_back(datapath::MutableBlockBuffer::uninitialized(
+          static_cast<size_t>(config_.block_size)));
       pv.emplace_back(parity.back().span());
     }
     codec_->encode(dv, pv);

@@ -20,12 +20,47 @@ namespace ear::cfs {
 namespace {
 
 // A copy a read picked is gone: its node died after the liveness check, or
-// its store no longer holds the block.  A std::runtime_error, so callers
-// that treat a store miss as a failed operation still catch it.
+// its store no longer holds the block (`store_miss`).  A std::runtime_error,
+// so callers that treat a store miss as a failed operation still catch it.
 class SourceLost : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  SourceLost(const std::string& what, bool store_miss)
+      : std::runtime_error(what), store_miss_(store_miss) {}
+  bool store_miss() const { return store_miss_; }
+
+ private:
+  bool store_miss_;
 };
+
+// Chain order for a pipelined whole-block reconstruction (the helper nodes,
+// one per plan source): helpers in remote racks first, each rack's helpers
+// next to each other so every rack link is crossed once, then the reader's
+// rack, with a helper on the reader itself last because its hop is free.
+// Racks and the helpers within a rack keep their order in `helpers`.
+std::vector<NodeId> chain_order(const Topology& topo,
+                                const std::vector<NodeId>& helpers,
+                                NodeId reader) {
+  const RackId home = topo.rack_of(reader);
+  std::vector<RackId> racks;
+  for (const NodeId n : helpers) {
+    const RackId r = topo.rack_of(n);
+    if (r != home && std::find(racks.begin(), racks.end(), r) == racks.end()) {
+      racks.push_back(r);
+    }
+  }
+  racks.push_back(home);
+  std::vector<NodeId> chain;
+  chain.reserve(helpers.size());
+  for (const RackId r : racks) {
+    for (const NodeId n : helpers) {
+      if (n != reader && topo.rack_of(n) == r) chain.push_back(n);
+    }
+  }
+  for (const NodeId n : helpers) {
+    if (n == reader) chain.push_back(n);
+  }
+  return chain;
+}
 
 }  // namespace
 
@@ -56,6 +91,8 @@ MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
       ctr_degraded_read_bytes_(
           &obs::Registry::instance().counter("cfs.degraded_read_bytes")),
       ctr_repairs_(&obs::Registry::instance().counter("cfs.blocks_repaired")),
+      ctr_store_misses_(
+          &obs::Registry::instance().counter("cfs.read.store_misses")),
       hist_encode_s_(&obs::Registry::instance().histogram(
           "cfs.encode_stripe_seconds",
           {0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10, 30, 60})) {
@@ -118,8 +155,9 @@ datapath::BlockBuffer MiniCfs::fetch(NodeId node, BlockId block) const {
     // stale, which node's store, and which backend was serving it.
     throw SourceLost(
         "fetch: block " + std::to_string(block) + " not on node " +
-        std::to_string(node) + " (" + dn.name() + " store holding " +
-        std::to_string(dn.block_count()) + " blocks)");
+            std::to_string(node) + " (" + dn.name() + " store holding " +
+            std::to_string(dn.block_count()) + " blocks)",
+        /*store_miss=*/true);
   }
   return *std::move(bytes);  // shared reference, no byte copy
 }
@@ -131,9 +169,10 @@ datapath::BlockBuffer MiniCfs::fetch_range(NodeId node, BlockId block,
   if (!bytes) {
     throw SourceLost(
         "fetch_range: block " + std::to_string(block) + " [" +
-        std::to_string(offset) + ", +" + std::to_string(len) +
-        ") not on node " + std::to_string(node) + " (" + dn.name() +
-        " store holding " + std::to_string(dn.block_count()) + " blocks)");
+            std::to_string(offset) + ", +" + std::to_string(len) +
+            ") not on node " + std::to_string(node) + " (" + dn.name() +
+            " store holding " + std::to_string(dn.block_count()) + " blocks)",
+        /*store_miss=*/true);
   }
   return *std::move(bytes);  // aliases the stored allocation, no byte copy
 }
@@ -275,6 +314,7 @@ datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
       cache_fill(reader, block, *bytes);
       return *std::move(bytes);
     }
+    ctr_store_misses_->add();
     missed.push_back(src);
     locations = ns_.find_locations(block);
     if (!locations) break;
@@ -300,7 +340,8 @@ datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
   for (int attempt = 1;; ++attempt) {
     try {
       return degraded_read_once(block, reader);
-    } catch (const SourceLost&) {
+    } catch (const SourceLost& lost) {
+      if (lost.store_miss()) ctr_store_misses_->add();
       if (attempt == kAttempts) throw;
     }
   }
@@ -355,13 +396,16 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
         locs ? pick_source(*locs, reader, /*count=*/false) : kInvalidNode;
     if (s == kInvalidNode) {
       throw SourceLost("degraded read: every copy of block " +
-                       std::to_string(b) + " died mid-read");
+                           std::to_string(b) + " died mid-read",
+                       /*store_miss=*/false);
     }
     return s;
   };
 
   const Bytes sub = codec_->sub_block_size(config_.block_size);
-  datapath::MutableBlockBuffer out(static_cast<size_t>(config_.block_size));
+  // Every path below writes each output byte before reading it.
+  auto out = datapath::MutableBlockBuffer::uninitialized(
+      static_cast<size_t>(config_.block_size));
 
   erasure::RepairPlan plan;
   if (codec_->plan_repair(wanted_pos, live_ids, &plan)) {
@@ -421,17 +465,52 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
       return std::move(out).seal();
     }
 
-    // Fan-out: one fetch lane per source node (or read_fanout_lanes of
-    // them, round-robin), chunked over the sub-block window so the
-    // incremental schedule overlaps the transfers; each source ships
-    // len x (its fetched sub-blocks) per chunk.  lanes == 1 serializes all
-    // sources on one lane — the old single-lane loop, and at alpha == 1
-    // the whole stage is byte- and bytes-identical to the pre-codec path.
+    const datapath::ChunkPlan chunks{sub, transport_->preferred_chunk()};
+    const auto compute = [&](int c) {
+      erasure::ErasureCodec::apply_plan_chunk(plan, units, out.span(),
+                                              chunks.offset(c), chunks.len(c));
+    };
+
+    const bool whole_blocks = std::all_of(
+        plan.sources.begin(), plan.sources.end(),
+        [&plan](const erasure::RepairSource& src) {
+          return static_cast<int>(src.sub_blocks.size()) == plan.alpha;
+        });
+    if (whole_blocks) {
+      // Repair pipelining: every source ships its whole block (RS, LRC
+      // groups), so the helpers form a chain ending at the reader and each
+      // hop forwards the running partial sum of chunk c as soon as its
+      // predecessor has delivered it.  Every link carries one block instead
+      // of the reader's down-link carrying k.  The math stays one fused
+      // apply_plan_chunk per chunk at the reader (the ecdag convention: the
+      // transport charges each hop's bytes, the result is byte-identical),
+      // and the wire bytes are the plan's: one block per source.
+      const std::vector<NodeId> chain = chain_order(topo_, sources, reader);
+      const int hops = static_cast<int>(chain.size());
+      datapath::StagedPipeline::run_chain(
+          chunks.count(), hops,
+          /*hop=*/
+          [&](int h, int c) {
+            const NodeId next =
+                h + 1 < hops ? chain[static_cast<size_t>(h + 1)] : reader;
+            transport_->transfer(
+                chain[static_cast<size_t>(h)], next,
+                static_cast<Bytes>(chunks.len(c)) * plan.alpha);
+          },
+          compute);
+      return std::move(out).seal();
+    }
+
+    // Sub-block plans (Clay, Hitchhiker) fan in instead: a chain hop would
+    // carry the whole rebuilt block, more than each helper's ranged share.
+    // One fetch lane per source node (or read_fanout_lanes of them,
+    // round-robin), chunked over the sub-block window so the incremental
+    // schedule overlaps the transfers; each source ships len x (its fetched
+    // sub-blocks) per chunk.
     const int nsources = static_cast<int>(plan.sources.size());
     const int lanes = config_.read_fanout_lanes <= 0
                           ? nsources
                           : std::min(config_.read_fanout_lanes, nsources);
-    const datapath::ChunkPlan chunks{sub, transport_->preferred_chunk()};
     datapath::StagedPipeline::run_fanout(
         chunks.count(), lanes,
         /*fetch=*/
@@ -444,12 +523,7 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
                 len * static_cast<Bytes>(src.sub_blocks.size()));
           }
         },
-        /*compute=*/
-        [&](int c) {
-          erasure::ErasureCodec::apply_plan_chunk(plan, units, out.span(),
-                                                  chunks.offset(c),
-                                                  chunks.len(c));
-        });
+        compute);
     return std::move(out).seal();
   }
 
@@ -538,7 +612,9 @@ void MiniCfs::encode_stripe(StripeId stripe,
   parity_bufs.reserve(static_cast<size_t>(m));
   parity_views.reserve(static_cast<size_t>(m));
   for (int j = 0; j < m; ++j) {
-    parity_bufs.emplace_back(static_cast<size_t>(config_.block_size));
+    // encode_chunk and the ecdag executor write every parity byte.
+    parity_bufs.push_back(datapath::MutableBlockBuffer::uninitialized(
+        static_cast<size_t>(config_.block_size)));
     parity_views.emplace_back(parity_bufs.back().span());
   }
 
@@ -694,6 +770,9 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
   // stay valid because buffers own their allocation / mapping.  For the
   // mmap backend this replays the crash-consistent directory (truncating
   // any torn tail); for the mem backend the node comes back empty.
+  // The node stays down until its block report has pruned what it lost, so
+  // no read picks a copy the new store does not hold.
+  node_alive_[static_cast<size_t>(node)] = false;
   datanodes_[static_cast<size_t>(node)].reset();
   datanodes_[static_cast<size_t>(node)] = make_store(node);
   const store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
@@ -701,8 +780,6 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
   std::vector<BlockId> surviving = dn.block_ids();
   report.blocks_recovered = static_cast<int64_t>(surviving.size());
   const std::set<BlockId> surviving_set(surviving.begin(), surviving.end());
-
-  node_alive_[static_cast<size_t>(node)] = true;
 
   // 2. Block report: reconcile the namespace with what actually survived.
   // One snapshot, then per-block point updates (same discipline as
@@ -744,6 +821,9 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
       cache_invalidate(block);
     }
   }
+
+  // 4. Serve again: every location the namespace lists is now held.
+  node_alive_[static_cast<size_t>(node)] = true;
   return report;
 }
 

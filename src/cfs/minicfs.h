@@ -63,10 +63,12 @@ struct CfsConfig {
   // bytes and zero copies.  0 (default) disables the cache and reproduces
   // the pre-cache read path exactly.
   Bytes cache_bytes = 0;
-  // Degraded-read fetch fan-out: number of concurrent per-source fetch
-  // lanes (datapath::StagedPipeline::run_fanout).  0 (default) = one lane
-  // per source; 1 = the old single-lane round-robin fetch loop, byte- and
-  // order-identical to the pre-fan-out path.
+  // Degraded-read fetch fan-out for sub-block repair plans (Clay,
+  // Hitchhiker): number of concurrent per-source fetch lanes
+  // (datapath::StagedPipeline::run_fanout).  0 (default) = one lane per
+  // source; 1 = the old single-lane round-robin fetch loop.  Plans whose
+  // sources all ship whole blocks (RS, LRC groups) run as a helper chain
+  // (run_chain) and ignore it.
   int read_fanout_lanes = 0;
   // DataNode block-store backend (src/store/).  kMem (default) keeps blocks
   // in RAM — the pre-store behavior, byte for byte.  kMmap lays blocks out
@@ -84,7 +86,8 @@ struct CfsConfig {
   // degraded-read reconstruction run as rack-aware partial-sum trees, so
   // each remote rack ships one combined chunk per requested output across
   // the core switch instead of every raw block.  false (default) keeps the
-  // legacy single-node fan-in data path, byte for byte.
+  // single-node data paths (the staged encode pipeline; the helper chain or
+  // the fan-in for degraded reads), byte for byte.
   bool ecdag_enable = false;
 };
 
@@ -162,9 +165,12 @@ class MiniCfs {
   // to the replica's stored buffer; a copy deleted under the read, e.g. by
   // a racing encode, sends it to the next live copy); otherwise performs a
   // degraded read, reconstructing from any k live blocks of the encoded
-  // stripe through the staged chunked pipeline — with one fetch lane per
-  // source node when fan-out is enabled (CfsConfig::read_fanout_lanes).
-  // Throws std::runtime_error when the block is unrecoverable.
+  // stripe through the staged chunked pipeline: whole-block plans stream a
+  // partial sum down a chain of helpers to the reader (repair pipelining),
+  // sub-block plans fan in over per-source lanes
+  // (CfsConfig::read_fanout_lanes).  Every store miss a read retries past
+  // counts in `cfs.read.store_misses`.  Throws std::runtime_error when the
+  // block is unrecoverable.
   datapath::BlockBuffer read_block(BlockId block, NodeId reader);
 
   // ---- encoding (the RaidNode path uses these) ----------------------------
@@ -205,7 +211,9 @@ class MiniCfs {
   // reopened store no longer holds are pruned (a later
   // restore_redundancy() repairs them); surviving blocks the namespace
   // still knows are re-registered; surviving blocks the namespace has
-  // forgotten entirely are discarded from the store.
+  // forgotten entirely are discarded from the store.  The node is down from
+  // the moment its store is reopened until the reconciliation is done, so a
+  // read never picks a location the reopened store does not hold.
   struct RestartReport {
     int64_t blocks_recovered = 0;     // blocks the reopened store holds
     int64_t locations_pruned = 0;     // namespace locations dropped
@@ -329,8 +337,8 @@ class MiniCfs {
   void cache_invalidate(BlockId block);
 
   // Reconstructs `block` from k live stripe blocks through the staged
-  // chunked pipeline (fan-out lanes when configured).  The slow path of
-  // read_block.  Retries degraded_read_once when a helper it picked is
+  // chunked pipeline (a helper chain for whole-block plans, fan-out lanes
+  // for sub-block ones).  The slow path of read_block.  Retries degraded_read_once when a helper it picked is
   // gone by the time its bytes are fetched.
   datapath::BlockBuffer degraded_read(BlockId block, NodeId reader);
   datapath::BlockBuffer degraded_read_once(BlockId block, NodeId reader);
@@ -369,6 +377,7 @@ class MiniCfs {
   obs::Counter* ctr_degraded_reads_;
   obs::Counter* ctr_degraded_read_bytes_;
   obs::Counter* ctr_repairs_;
+  obs::Counter* ctr_store_misses_;
   obs::Histogram* hist_encode_s_;
 };
 

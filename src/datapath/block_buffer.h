@@ -108,8 +108,19 @@ class BlockBuffer {
 class MutableBlockBuffer {
  public:
   MutableBlockBuffer() = default;
+  // Zero-filled staging area.
   explicit MutableBlockBuffer(size_t size)
       : data_(new uint8_t[size]()), size_(size) {}
+
+  // Staging area with indeterminate contents, for writers that overwrite
+  // every byte before anything reads it (parity under encode, decode
+  // output): skips the zero-fill the kernels would overwrite anyway.
+  static MutableBlockBuffer uninitialized(size_t size) {
+    MutableBlockBuffer buf;
+    buf.data_.reset(new uint8_t[size]);
+    buf.size_ = size;
+    return buf;
+  }
 
   size_t size() const { return size_; }
   uint8_t* data() { return data_.get(); }

@@ -2,9 +2,10 @@
 // "Data path").
 //
 // RaidNode map tasks, RepairManager drainers, staged-pipeline stages,
-// degraded-read fan-out lanes, replication hops and inline-EC pushes all
-// run here instead of on per-operation std::threads, so the data path pays
-// for bytes and GF math, not for creating and joining thread stacks.
+// degraded-read chain tasks and fan-out lanes, replication hops and
+// inline-EC pushes all run here instead of on per-operation std::threads,
+// so the data path pays for bytes and GF math, not for creating and joining
+// thread stacks.
 // Threads are spawned on demand and parked on a condition variable when
 // idle; they are reused by every later operation and joined only when the
 // pool is destroyed.
@@ -13,9 +14,10 @@
 // threads, so every queued task has a thread that will run it without
 // waiting for any running task to finish.  There is no thread cap — the
 // pool's size follows the peak number of concurrent tasks, which the
-// callers bound (TaskGroup map slots, repair workers, the fan-out LaneGate).
-// Together these make it safe for a task to block on a task it submitted:
-// pipeline stages and fan-out lanes may be nested inside a map task.
+// callers bound (TaskGroup map slots, repair workers, the LaneGate of
+// fan-out lanes and chain hops).  Together these make it safe for a task to
+// block on a task it submitted: pipeline stages, chain tasks and fan-out
+// lanes may be nested inside a map task.
 //
 // Tasks must not throw: an escaping exception would terminate the process.
 #pragma once

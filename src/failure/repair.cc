@@ -180,8 +180,10 @@ RepairManager::Outcome RepairManager::attempt(const Task& task,
   span.arg("priority", task.priority);
 
   const std::vector<NodeId> locs = cfs_->block_locations(block);
-  if (locs.empty()) return Outcome::kNoop;  // deleted or unknown block
   const bool encoded = cfs_->is_block_encoded(block);
+  // An encoded block with no location left is lost, not deleted: a restart
+  // that lost its only copy pruned it.  It is decoded below.
+  if (locs.empty() && !encoded) return Outcome::kNoop;  // deleted or unknown
   std::vector<NodeId> live;
   for (const NodeId n : locs) {
     if (cfs_->node_alive(n)) live.push_back(n);
@@ -290,8 +292,8 @@ void RepairManager::pump_locked() {
 // A drainer services the queue until it runs dry, then exits (pump_locked
 // re-submits one when new work arrives).  It must not throw — it runs as a
 // shared-pool task.  Besides the transport and its own retry backoff it
-// waits only on tasks its repairs submit (degraded-read fan-out lanes),
-// which the pool's spawn rule always gives a thread.
+// waits only on tasks its repairs submit (degraded-read chain tasks and
+// fan-out lanes), which the pool's spawn rule always gives a thread.
 void RepairManager::drainer_loop() {
   while (true) {
     Task task;

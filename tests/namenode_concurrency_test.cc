@@ -18,6 +18,8 @@
 #include "cfs/raidnode.h"
 #include "common/rng.h"
 #include "failure/repair.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace ear::cfs {
 namespace {
@@ -494,6 +496,52 @@ TEST(NameNodeConcurrency, ReadsRacingRestartReturnWrittenBytes) {
   }
   cfs.reset();
   std::filesystem::remove_all(cfg.store_dir);
+}
+
+TEST(NameNodeConcurrency, ReadsRacingLossyRestartsNeverMissTheStore) {
+  // Mem stores: a restart loses every block the node held.  Readers race a
+  // run of restarts, and each restart's block report prunes the lost
+  // locations.  The node must stay down until that prune is done, so no
+  // read picks a location the reopened store does not hold: zero read
+  // errors, and zero store misses (cfs.read.store_misses).  Repair
+  // restores redundancy between restarts.
+  obs::Config ocfg;
+  ocfg.metrics = true;
+  obs::init(ocfg);
+  obs::Counter& misses =
+      obs::Registry::instance().counter("cfs.read.store_misses");
+  const CfsConfig cfg = harness_config();
+  auto cfs = make_cfs(cfg);
+  {
+    RacingReaders readers(*cfs, populate_half_encoded(*cfs, 40), 3);
+    failure::RepairConfig rcfg;
+    rcfg.workers = 2;
+    failure::RepairManager repair(*cfs, rcfg);
+    repair.start();
+    const int64_t misses_before = misses.value();
+    int64_t pruned = 0;
+    for (const NodeId victim : {4, 17, 9, 23, 4, 12, 28, 17, 1, 9, 20, 4}) {
+      readers.await_reads(20);
+      cfs->kill_node(victim);
+      readers.await_reads(20);
+      pruned += cfs->restart_node(victim).locations_pruned;
+      readers.await_reads(20);
+      repair.schedule_scan();
+      repair.wait_idle();
+    }
+    readers.await_reads(20);
+    repair.stop();
+    readers.stop();
+
+    EXPECT_GT(pruned, 0) << "no restart lost a listed block";
+    EXPECT_EQ(repair.report().unrecoverable, 0);
+    EXPECT_EQ(readers.errors(), 0) << "of " << readers.reads() << " reads";
+    EXPECT_EQ(readers.mismatches(), 0) << "of " << readers.reads() << " reads";
+    EXPECT_EQ(misses.value() - misses_before, 0)
+        << "reads picked a restarted node before its block report";
+  }
+  cfs.reset();
+  obs::shutdown();
 }
 
 // ------------------------------------------------- snapshot property test

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "cfs/minicfs.h"
@@ -369,6 +370,84 @@ TEST(RsFailureReporting, SingularPlanNamesAvailableIds) {
   EXPECT_FALSE(code.plan_reconstruct({0, 0, 1, 2}, {3}, &coeffs, &why));
   EXPECT_NE(why.find("available_ids=[0,0,1,2]"), std::string::npos) << why;
   EXPECT_NE(why.find("RS(6,4"), std::string::npos) << why;
+}
+
+// Output buffers the data path allocates without zero-filling: every codec
+// must write each output byte before it accumulates into it, so encode,
+// chunked encode, reconstruct and plan execution into a buffer pre-filled
+// with 0xA5 match the same calls into a zero-initialised one.
+TEST(CodecOutputs, PrefilledBuffersMatchZeroInitialised) {
+  struct Case {
+    std::string name;
+    std::shared_ptr<const ErasureCodec> codec;
+  };
+  const std::vector<Case> cases = {
+      {"rs", make_codec(CodecFamily::kRS, 10, 6)},
+      {"lrc", make_codec(CodecFamily::kLRC, 11, 8)},
+      {"crs", std::make_shared<CrsCodec>(10, 6)},
+      {"clay", make_codec(CodecFamily::kClay, 10, 6)},
+      {"hitchhiker", make_codec(CodecFamily::kHitchhiker, 10, 6)},
+  };
+  const size_t block = 64 * 1024;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ErasureCodec& codec = *c.codec;
+    const int n = codec.n(), k = codec.k();
+    const size_t m = static_cast<size_t>(codec.m());
+    const auto stripe = make_stripe(codec, block, 4242);
+    const std::vector<BlockView> data(stripe.begin(), stripe.begin() + k);
+
+    using Work = std::function<void(const std::vector<MutBlockView>&)>;
+    // Runs `work` on `count` fresh outputs filled with `fill`.
+    const auto outputs = [&](size_t count, uint8_t fill, const Work& work) {
+      std::vector<std::vector<uint8_t>> out(count,
+                                            std::vector<uint8_t>(block, fill));
+      work(std::vector<MutBlockView>(out.begin(), out.end()));
+      return out;
+    };
+
+    const Work encode = [&](const std::vector<MutBlockView>& parity) {
+      codec.encode(data, parity);
+    };
+    EXPECT_EQ(outputs(m, 0xA5, encode), outputs(m, 0x00, encode)) << "encode";
+    if (codec.family() != CodecFamily::kCRS) {  // CRS packets span the block
+      const Work chunked = [&](const std::vector<MutBlockView>& parity) {
+        const size_t sub = codec.sub_block_size(block);
+        for (size_t off = 0; off < sub; off += 1009) {
+          codec.encode_chunk(data, parity, off,
+                             std::min<size_t>(1009, sub - off));
+        }
+      };
+      EXPECT_EQ(outputs(m, 0xA5, chunked), outputs(m, 0x00, chunked))
+          << "chunked encode";
+    }
+
+    // A data block and a parity block from the first k survivors.
+    const std::vector<int> wanted = {0, n - 1};
+    std::vector<int> avail_ids;
+    std::vector<BlockView> avail;
+    for (int id = 1; id < n - 1 && static_cast<int>(avail_ids.size()) < k;
+         ++id) {
+      avail_ids.push_back(id);
+      avail.emplace_back(stripe[static_cast<size_t>(id)]);
+    }
+    const auto rebuilt = outputs(
+        2, 0xA5, [&](const std::vector<MutBlockView>& out) {
+          ASSERT_TRUE(codec.reconstruct(avail_ids, avail, wanted, out));
+        });
+    EXPECT_EQ(rebuilt[0], stripe[0]) << "reconstruct";
+    EXPECT_EQ(rebuilt[1], stripe[static_cast<size_t>(n - 1)]) << "reconstruct";
+
+    RepairPlan plan;
+    if (codec.plan_repair(0, all_but(n, 0), &plan)) {
+      const auto units = gather_units(plan, stripe);
+      const auto repaired = outputs(
+          1, 0xA5, [&](const std::vector<MutBlockView>& out) {
+            ErasureCodec::apply_plan(plan, units, out[0]);
+          });
+      EXPECT_EQ(repaired[0], stripe[0]) << "plan";
+    }
+  }
 }
 
 TEST(CodecFactory, BuildsEachFamily) {
