@@ -32,6 +32,8 @@ struct TestbedParams {
   int read_fanout_lanes = 0;
   // Distributed encode/repair DAGs (CfsConfig::ecdag_enable).
   bool ecdag = false;
+  // Stripe codec family (CfsConfig::codec_family).
+  erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
   // Give every block distinct random bytes instead of one shared payload —
   // required when a bench asserts parity byte-identity across data paths
   // (identical payloads make XOR cancellations mask coefficient bugs).
@@ -88,6 +90,7 @@ inline LoadedTestbed make_loaded_testbed(const TestbedParams& params,
   cfg.cache_bytes = params.cache_bytes;
   cfg.read_fanout_lanes = params.read_fanout_lanes;
   cfg.ecdag_enable = params.ecdag;
+  cfg.codec_family = params.codec_family;
   cfg.seed = params.seed;
 
   const Topology topo(cfg.racks, cfg.nodes_per_rack);
