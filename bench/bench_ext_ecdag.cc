@@ -1,22 +1,21 @@
-// Extension bench: distributed encode/repair DAGs (src/ecdag/).
+// Extension bench: distributed encode DAGs (src/ecdag/).
 //
 // The legacy conversion funnels all k data blocks through the encoder node,
 // so its rack down-link carries ~k blocks per stripe across the core switch
 // no matter how good placement is.  With --ecdag the encode runs as a
 // rack-aware partial-sum tree: each remote rack XOR-combines its coeff x
 // block terms locally and ships one combined chunk per parity across the
-// core.  Repair and degraded reads lower the same way (one partial per
-// source rack instead of one chunk per source block).
+// core.  (Repairs and degraded reads take the helper chain whatever the
+// flag, which already keeps one block per link.)
 //
 // Sections:
 //   A. encode core-switch bytes per stripe, legacy vs ecdag, with parity
 //      byte-identity verified block for block (the bench exits 1 on any
 //      mismatch — aggregation must not change a single byte);
-//   B. repair cross-rack bytes after a DataNode loss, legacy vs ecdag;
-//   C. wall-clock conversion throughput under a 4x oversubscribed core
+//   B. wall-clock conversion throughput under a 4x oversubscribed core
 //      (rack up-links at node_bw * nodes_per_rack / oversub), legacy vs
 //      ecdag on the throttled transport;
-//   D. the discrete-event simulator's encode cross-bytes for the same
+//   C. the discrete-event simulator's encode cross-bytes for the same
 //      topologies, cross-checking the testbed ratios at cluster scale.
 //
 // Scattered (RR) layouts with several blocks per rack are where aggregation
@@ -120,54 +119,6 @@ bool parity_identical(cfs::MiniCfs& a, cfs::MiniCfs& b,
   return true;
 }
 
-struct RepairStats {
-  int64_t repairs = 0;
-  int64_t cross_bytes = 0;
-};
-
-// Kills one DataNode and repairs every encoded block it solely held,
-// counting the core-switch bytes the reconstructions moved.  Stripes the
-// loss pushed below k live blocks are genuinely unrecoverable (RR placement
-// can put two blocks of an m=1 stripe on one node) and are skipped — both
-// clusters saw identical writes, so both skip the same stripes.
-RepairStats run_repair(cfs::MiniCfs& cfs, int max_repairs) {
-  const NodeId victim = 0;
-  cfs.kill_node(victim);
-  const cfs::NamespaceSnapshot ns = cfs.namespace_snapshot();
-  const auto block_live = [&](BlockId b) {
-    for (const NodeId n : ns.blocks.at(b).locations) {
-      if (cfs.node_alive(n)) return true;
-    }
-    return false;
-  };
-  const auto stripe_recoverable = [&](StripeId s) {
-    const cfs::StripeMeta& m = ns.stripes.at(s);
-    int live = 0;
-    for (const BlockId b : m.data_blocks) live += block_live(b);
-    for (const BlockId b : m.parity_blocks) live += block_live(b);
-    return live >= static_cast<int>(m.data_blocks.size());
-  };
-  std::vector<BlockId> lost;
-  for (const BlockId b : cfs.all_blocks()) {
-    const cfs::BlockStatus& st = ns.blocks.at(b);
-    if (block_live(b)) continue;
-    if (st.stripe == kInvalidStripe || !stripe_recoverable(st.stripe)) {
-      continue;
-    }
-    lost.push_back(b);
-    if (static_cast<int>(lost.size()) >= max_repairs) break;
-  }
-  RepairStats r;
-  const int64_t cross0 = cfs.transport().cross_rack_bytes();
-  NodeId target = cfs.topology().node_count() - 1;
-  for (const BlockId b : lost) {
-    cfs.repair_block(b, target);
-    ++r.repairs;
-  }
-  r.cross_bytes = cfs.transport().cross_rack_bytes() - cross0;
-  return r;
-}
-
 // Wall-clock conversion under an oversubscribed core: rack up-links carry
 // nodes_per_rack / oversub node-links' worth of bandwidth, so raw k-block
 // fan-ins contend exactly where the DAG sheds traffic.
@@ -222,8 +173,6 @@ int main(int argc, char** argv) {
   }
   const double oversub = flags.get_double("oversub", 4.0);
   const int map_slots = static_cast<int>(flags.get_int("map-slots", 4));
-  const int max_repairs =
-      static_cast<int>(flags.get_int("repairs", smoke ? 2 : 8));
   const std::string csv_path = flags.get_string("csv-out");
 
   CsvWriter csv(csv_path.empty() ? "/dev/null" : csv_path);
@@ -235,7 +184,7 @@ int main(int argc, char** argv) {
           "legacy,ecdag,unit\n");
 
   ear::bench::header(
-      "EXT-ECDAG", "distributed encode/repair DAGs vs single-node fan-in");
+      "EXT-ECDAG", "distributed encode DAGs vs single-node fan-in");
 
   // ---- A: encode core-switch bytes + parity byte-identity ----------------
   ear::bench::row("%-14s %22s %22s %8s", "A: encode", "legacy cross/stripe",
@@ -262,28 +211,13 @@ int main(int argc, char** argv) {
             static_cast<long long>(legacy.cross_per_stripe),
             static_cast<long long>(dist.cross_per_stripe));
 
-    // ---- B: repair cross-rack bytes on the same clusters -----------------
-    const RepairStats rl = run_repair(*legacy.cfs, max_repairs);
-    const RepairStats rd = run_repair(*dist.cfs, max_repairs);
-    if (rl.repairs > 0) {
-      ear::bench::row("%-14s %19.2f MB %19.2f MB   (B: repair x%lld)",
-                      cfg.name,
-                      static_cast<double>(rl.cross_bytes) / 1e6,
-                      static_cast<double>(rd.cross_bytes) / 1e6,
-                      static_cast<long long>(rl.repairs));
-      csv.row("repair,%s,%d,%d,%d,%d,%s,%lld,%lld,cross_bytes_total\n",
-              cfg.name, cfg.racks, cfg.nodes_per_rack, cfg.n, cfg.k,
-              cfg.use_ear ? "ear" : "rr",
-              static_cast<long long>(rl.cross_bytes),
-              static_cast<long long>(rd.cross_bytes));
-    }
   }
   ear::bench::note(
       "parity byte-identity verified block-for-block on every config");
 
-  // ---- C: conversion throughput under an oversubscribed core ------------
+  // ---- B: conversion throughput under an oversubscribed core ------------
   ear::bench::row("%-14s %16s %16s %8s",
-                  "C: throughput", "legacy MB/s", "ecdag MB/s", "gain");
+                  "B: throughput", "legacy MB/s", "ecdag MB/s", "gain");
   for (const Config& cfg : kConfigs) {
     if (smoke && !(cfg.racks == 4 && cfg.k == 12 && !cfg.use_ear)) continue;
     const double legacy =
@@ -298,10 +232,10 @@ int main(int argc, char** argv) {
   ear::bench::note("core oversubscription " + std::to_string(oversub) +
                    "x: rack up-links at node_bw * nodes_per_rack / oversub");
 
-  // ---- D: simulator cross-check ------------------------------------------
+  // ---- C: simulator cross-check ------------------------------------------
   const Bytes sim_block = smoke ? Bytes{1_MB} : Bytes{16_MB};
   const int sim_stripes = smoke ? 2 : 10;
-  ear::bench::row("%-14s %22s %22s %8s", "D: simulator", "legacy cross MB",
+  ear::bench::row("%-14s %22s %22s %8s", "C: simulator", "legacy cross MB",
                   "ecdag cross MB", "ratio");
   for (const Config& cfg : kConfigs) {
     if (cfg.use_ear) continue;  // sim row set mirrors the RR testbed rows

@@ -12,24 +12,16 @@
 // rack up-links run oversubscribed (--oversub, the classic cross-rack
 // bottleneck; the paper's testbed contends on exactly this link) and
 // interference traffic is injected on every surviving rack up-link (the
-// paper's Iperf-style congestion).  Two comparisons, each over the data
-// path that ships for its plans:
-//   - Clay (sub-block plans, fan-out lanes): the round-robin baseline
-//     (--fanout-lanes 1) pulls its sources one after another, each at the
-//     slow rack-uplink rate, leaving the reader's down-link mostly idle;
-//     per-source fan-out lanes pull them all in parallel, so the read
-//     completes at the down-link rate instead of serial up-link transfers.
-//   - RS (whole-block plans): the star baseline is the fan-in every helper
-//     sends its whole block straight to the reader over (the ecdag executor
-//     on this one-block-per-rack layout has no rack to aggregate in), so
-//     the reader's down-link carries k blocks.  The chain (the default RS
-//     data path) streams a partial sum from helper to helper and into the
-//     reader, so every link carries one block: about (k + chunks - 1)
-//     chunk-times instead of k block-times.  Every chain hop crosses a
-//     congested up-link, so the chain gains most with --oversub 1
-//     --inject-bytes 0, where the reader's down-link is the only bottleneck.
-// Every mode reads the same data blocks; the bench exits non-zero if any
-// two modes rebuild one differently.  Reported: mean/max degraded-read
+// paper's Iperf-style congestion).  One mode per degraded-read data path:
+//   - Clay (sub-block plans): one fan-out lane per source, so the
+//     helpers' ranged shares arrive in parallel at the reader's down-link.
+//   - RS (whole-block plans): the helper chain streams a partial sum from
+//     helper to helper and into the reader, so every link carries one
+//     block: about (k + chunks - 1) chunk-times.  Every chain hop crosses a
+//     congested up-link, so the chain is fastest with --oversub 1
+//     --inject-bytes 0, where no link is a bottleneck.
+// Both modes read the same data blocks; the bench exits non-zero if they
+// rebuild one differently.  Reported: mean/max degraded-read
 // completion per mode.
 //
 //   ./bench_ext_readpath                     # both phases, defaults
@@ -108,13 +100,11 @@ HotResult run_hot(const ear::bench::TestbedParams& params, Bytes cache_bytes,
   return r;
 }
 
-// One phase-2 data path: the codec family and how its plans move bytes.
+// One phase-2 data path, chosen by the codec family's plan shape.
 struct DegradedMode {
   const char* label;
   const char* csv;
   erasure::CodecFamily family;
-  int fanout_lanes;  // 0 = one per source, 1 = round-robin
-  bool ecdag;        // RS star: the ecdag executor's fan-in
 };
 
 struct DegradedResult {
@@ -135,8 +125,6 @@ DegradedResult run_degraded(
   ear::bench::TestbedParams p = params;
   p.cache_bytes = 0;  // isolate the data-path effect
   p.codec_family = mode.family;
-  p.read_fanout_lanes = mode.fanout_lanes;
-  p.ecdag = mode.ecdag;
   // Congested egress: rack up-links carry 1/oversub of a node link (the
   // interference direction), while rack ingress stays at full speed — so
   // the reader's down-link, not the sources, should be the bottleneck.
@@ -276,11 +264,8 @@ int main(int argc, char** argv) {
                    std::to_string(inject_bytes) +
                    " interference bytes on every surviving rack up-link");
   static const DegradedMode kModes[] = {
-      {"round-robin (Clay)", "roundrobin", erasure::CodecFamily::kClay, 1,
-       false},
-      {"fan-out (Clay)", "fanout", erasure::CodecFamily::kClay, 0, false},
-      {"star (RS)", "star", erasure::CodecFamily::kRS, 0, true},
-      {"chain (RS)", "chain", erasure::CodecFamily::kRS, 0, false},
+      {"fan-out (Clay)", "fanout", erasure::CodecFamily::kClay},
+      {"chain (RS)", "chain", erasure::CodecFamily::kRS},
   };
   std::map<BlockId, datapath::BlockBuffer> rebuilt;
   std::vector<DegradedResult> results;
@@ -297,19 +282,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(r.reads), r.mean_s, r.max_s);
     }
   }
-  const auto gain = [](const DegradedResult& base, const DegradedResult& r) {
-    return r.mean_s > 0 ? base.mean_s / r.mean_s : 0;
-  };
-  ear::bench::note("degraded completion gain from fan-out: " +
-                   std::to_string(gain(results[0], results[1])) +
-                   "x (round-robin serializes the slow up-link pulls; lanes "
-                   "overlap them and fill the reader's down-link)");
-  ear::bench::note("degraded completion gain from the chain: " +
-                   std::to_string(gain(results[2], results[3])) +
-                   "x (the star pushes k blocks through the reader's "
-                   "down-link; the chain moves one block per link, chunks "
-                   "pipelined behind each other)");
-
   if (!csv_path.empty() && !csv.close()) {
     std::perror("csv close");
     return 1;

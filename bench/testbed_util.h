@@ -26,11 +26,9 @@ struct TestbedParams {
   int replication = 2;
   int stripes = 24;
   Bytes block_size = 1_MB;
-  // Reader-side block cache budget (0 = disabled, the pre-cache read path)
-  // and degraded-read fetch lanes (0 = one per source, 1 = round-robin).
+  // Reader-side block cache budget (0 = disabled, the pre-cache read path).
   Bytes cache_bytes = 0;
-  int read_fanout_lanes = 0;
-  // Distributed encode/repair DAGs (CfsConfig::ecdag_enable).
+  // Distributed encode DAGs (CfsConfig::ecdag_enable).
   bool ecdag = false;
   // Stripe codec family (CfsConfig::codec_family).
   erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
@@ -61,8 +59,6 @@ struct TestbedParams {
     p.throttle.disk_bw = flags.get_double("disk-bw", 13e6);
     p.throttle.chunk_size = std::max<Bytes>(64_KB, p.block_size / 16);
     p.cache_bytes = static_cast<Bytes>(flags.get_int("cache-bytes", 0));
-    p.read_fanout_lanes =
-        static_cast<int>(flags.get_int("fanout-lanes", 0));
     p.ecdag = flags.get_bool("ecdag");
     p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
     return p;
@@ -88,7 +84,6 @@ inline LoadedTestbed make_loaded_testbed(const TestbedParams& params,
   cfg.use_ear = use_ear;
   cfg.block_size = params.block_size;
   cfg.cache_bytes = params.cache_bytes;
-  cfg.read_fanout_lanes = params.read_fanout_lanes;
   cfg.ecdag_enable = params.ecdag;
   cfg.codec_family = params.codec_family;
   cfg.seed = params.seed;

@@ -2,23 +2,23 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
+
+#include "common/crc32.h"
 
 namespace ear::cfs {
 
 namespace {
 
-// Version history (the writer always emits the newest; the reader accepts
-// every version listed here, defaulting fields the older format lacks):
-//   '2' — namespace_shards (PR 4)
-//   '3' — + read-path fields cache_bytes, read_fanout_lanes (PR 5)
-//   '4' — + store fields store_backend, store_dir, store_segment_bytes
-//   '5' — + ecdag_enable (PR 7)
-//   '6' — + codec fields codec_family, sub-packetization alpha (PR 8)
-constexpr char kMagic[8] = {'E', 'A', 'R', 'C', 'K', 'P', 'T', '6'};
-constexpr int kOldestSupported = 2;
-constexpr int kNewestSupported = 6;
+// One format version.  Nothing keeps a checkpoint past the process that
+// wrote it, so the reader accepts exactly the version the writer emits and
+// names any other.
+constexpr char kMagic[8] = {'E', 'A', 'R', 'C', 'K', 'P', 'T', '7'};
+constexpr size_t kCrcBytes = 4;
+// Sanity cap on NameNode lock stripes (each costs an allocation at load).
+constexpr int64_t kMaxNamespaceShards = 1 << 16;
 
 // ---- little-endian primitives ------------------------------------------
 
@@ -37,14 +37,22 @@ void put_bytes(std::vector<uint8_t>& out, std::span<const uint8_t> v) {
   out.insert(out.end(), v.begin(), v.end());
 }
 
+[[noreturn]] void reject(const std::string& why) {
+  throw std::runtime_error("checkpoint rejected: " + why);
+}
+
+// Reads fields from [0, end) of the image.  A length is checked against
+// the bytes left before it sizes anything; counts size nothing, since each
+// record they count consumes bytes.
 class Reader {
  public:
-  explicit Reader(const std::vector<uint8_t>& data) : data_(&data) {}
+  Reader(const std::vector<uint8_t>& data, size_t end)
+      : data_(&data), end_(end) {}
+
+  size_t left() const { return end_ - pos_; }
 
   uint64_t u64() {
-    if (pos_ + 8 > data_->size()) {
-      throw std::runtime_error("checkpoint truncated");
-    }
+    if (left() < 8) throw std::runtime_error("checkpoint truncated");
     uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
       v |= static_cast<uint64_t>((*data_)[pos_ + static_cast<size_t>(i)])
@@ -56,48 +64,65 @@ class Reader {
 
   int64_t i64() { return static_cast<int64_t>(u64()); }
 
+  // An i64 field that must lie in [lo, hi].
+  int64_t i64_in(const char* name, int64_t lo, int64_t hi) {
+    const int64_t v = i64();
+    if (v < lo || v > hi) {
+      reject(std::string(name) + " = " + std::to_string(v) +
+             " outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
+             "]");
+    }
+    return v;
+  }
+
   std::vector<uint8_t> bytes() {
     const uint64_t len = u64();
-    if (pos_ + len > data_->size()) {
-      throw std::runtime_error("checkpoint truncated");
-    }
-    std::vector<uint8_t> out(data_->begin() + static_cast<ptrdiff_t>(pos_),
-                             data_->begin() +
-                                 static_cast<ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return out;
-  }
-
-  std::string str() {
-    std::vector<uint8_t> raw = bytes();
-    return std::string(raw.begin(), raw.end());
-  }
-
-  // Validates the "EARCKPT<v>" magic and returns the format version.
-  // Unknown versions are rejected with a message naming the supported
-  // range, so a reader meeting a future format fails loudly instead of
-  // mis-parsing it.
-  int expect_magic() {
-    if (pos_ + 8 > data_->size() ||
-        std::memcmp(data_->data(), kMagic, 7) != 0) {
-      throw std::runtime_error("not an EAR checkpoint");
-    }
-    const int version = (*data_)[7] - '0';
-    if (version < kOldestSupported || version > kNewestSupported) {
-      throw std::runtime_error(
-          "unsupported EAR checkpoint version '" +
-          std::string(1, static_cast<char>((*data_)[7])) + "' (supported: " +
-          std::to_string(kOldestSupported) + ".." +
-          std::to_string(kNewestSupported) + ")");
-    }
-    pos_ += 8;
-    return version;
+    if (len > left()) throw std::runtime_error("checkpoint truncated");
+    const auto begin = data_->begin() + static_cast<ptrdiff_t>(pos_);
+    pos_ += static_cast<size_t>(len);
+    return std::vector<uint8_t>(begin, begin + static_cast<ptrdiff_t>(len));
   }
 
  private:
   const std::vector<uint8_t>* data_;
-  size_t pos_ = 0;
+  size_t end_;
+  size_t pos_ = sizeof(kMagic);
 };
+
+// Checks the magic, the version and the trailing CRC-32; returns where the
+// fields end.
+size_t check_frame(const std::vector<uint8_t>& data) {
+  if (data.size() < sizeof(kMagic) + kCrcBytes ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic) - 1) != 0) {
+    throw std::runtime_error("not an EAR checkpoint");
+  }
+  const char version = static_cast<char>(data[7]);
+  if (version != kMagic[7]) {
+    throw std::runtime_error("unsupported EAR checkpoint version 'EARCKPT" +
+                             std::string(1, version) +
+                             "' (this build reads EARCKPT7 only)");
+  }
+  const size_t end = data.size() - kCrcBytes;
+  uint32_t stored = 0;
+  for (size_t i = 0; i < kCrcBytes; ++i) {
+    stored |= static_cast<uint32_t>(data[end + i]) << (8 * i);
+  }
+  if (stored != crc32(data.data(), end)) {
+    throw std::runtime_error("checkpoint checksum mismatch");
+  }
+  return end;
+}
+
+// Constructors report an unusable config with std::invalid_argument; from a
+// checkpoint that is malformed input like any other.
+template <typename F>
+auto config_checked(F&& build) {
+  try {
+    return build();
+  } catch (const std::invalid_argument& e) {
+    reject(std::string("invalid config: ") + e.what());
+  }
+}
 
 }  // namespace
 
@@ -125,7 +150,6 @@ std::vector<uint8_t> save_checkpoint(const MiniCfs& cfs) {
   put_u64(out, image.config.seed);
   put_i64(out, image.config.namespace_shards);
   put_i64(out, image.config.cache_bytes);
-  put_i64(out, image.config.read_fanout_lanes);
   put_i64(out, static_cast<int64_t>(image.config.store_backend));
   {
     const std::string& dir = image.config.store_dir;
@@ -134,17 +158,12 @@ std::vector<uint8_t> save_checkpoint(const MiniCfs& cfs) {
   }
   put_i64(out, image.config.store_segment_bytes);
   put_i64(out, image.config.ecdag_enable ? 1 : 0);
-  // v6: codec family plus its sub-packetization.  alpha is derivable from
+  // The codec family plus its sub-packetization.  alpha is derivable from
   // (family, n, k) but serialized anyway so a reader can reject a
-  // checkpoint whose block layout it would mis-slice (a forward-compat
-  // guard if a family's alpha derivation ever changes).
+  // checkpoint whose block layout it would mis-slice (a guard in case a
+  // family's alpha derivation ever changes).
   put_i64(out, static_cast<int64_t>(image.config.codec_family));
-  {
-    const auto codec = erasure::make_codec(
-        image.config.codec_family, image.config.placement.code.n,
-        image.config.placement.code.k, image.config.construction);
-    put_i64(out, codec->alpha());
-  }
+  put_i64(out, cfs.codec().alpha());
   put_i64(out, image.next_block_id);
 
   // Block locations.
@@ -183,90 +202,101 @@ std::vector<uint8_t> save_checkpoint(const MiniCfs& cfs) {
       put_bytes(out, data.span());
     }
   }
+
+  const uint32_t crc = crc32(out.data(), out.size());
+  for (size_t i = 0; i < kCrcBytes; ++i) {
+    out.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
   return out;
 }
 
 std::unique_ptr<MiniCfs> load_checkpoint(
     const std::vector<uint8_t>& data, std::unique_ptr<Transport> transport) {
-  Reader in(data);
-  const int version = in.expect_magic();
+  Reader in(data, check_frame(data));
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Stripe ids stay clear of the int64 ends: from_image steps one past the
+  // largest and the smallest.
+  constexpr int64_t kMaxStripeId = int64_t{1} << 62;
 
   ClusterImage image;
-  image.config.racks = static_cast<int>(in.i64());
-  image.config.nodes_per_rack = static_cast<int>(in.i64());
-  image.config.placement.code.n = static_cast<int>(in.i64());
-  image.config.placement.code.k = static_cast<int>(in.i64());
-  image.config.placement.replication = static_cast<int>(in.i64());
-  image.config.placement.one_replica_per_rack = in.i64() != 0;
-  image.config.placement.c = static_cast<int>(in.i64());
-  image.config.placement.target_racks = static_cast<int>(in.i64());
-  image.config.use_ear = in.i64() != 0;
-  image.config.block_size = in.i64();
-  image.config.construction = in.i64() != 0
-                                  ? erasure::Construction::kCauchy
-                                  : erasure::Construction::kVandermonde;
-  image.config.seed = in.u64();
-  image.config.namespace_shards = static_cast<int>(in.i64());
-  if (version >= 3) {
-    image.config.cache_bytes = in.i64();
-    image.config.read_fanout_lanes = static_cast<int>(in.i64());
-  }  // v2: keep the CfsConfig defaults (cache off, per-source fan-out)
-  if (version >= 4) {
-    const int64_t backend = in.i64();
-    if (backend != 0 && backend != 1) {
-      throw std::runtime_error("checkpoint has unknown store backend " +
-                               std::to_string(backend));
-    }
-    image.config.store_backend = static_cast<store::StoreBackend>(backend);
-    image.config.store_dir = in.str();
-    image.config.store_segment_bytes = in.i64();
-  }  // v2/v3: keep the CfsConfig defaults (mem backend)
-  if (version >= 5) {
-    image.config.ecdag_enable = in.i64() != 0;
-  }  // v2..v4: keep the CfsConfig default (legacy single-node data path)
-  if (version >= 6) {
-    const int64_t family = in.i64();
-    if (family < 0 || family > 4) {
-      throw std::runtime_error("checkpoint has unknown codec family " +
-                               std::to_string(family));
-    }
-    image.config.codec_family = static_cast<erasure::CodecFamily>(family);
-    const int64_t alpha = in.i64();
-    const auto codec = erasure::make_codec(
-        image.config.codec_family, image.config.placement.code.n,
-        image.config.placement.code.k, image.config.construction);
-    if (alpha != codec->alpha()) {
-      throw std::runtime_error(
-          "checkpoint sub-packetization mismatch: file says alpha=" +
-          std::to_string(alpha) + " but " + codec->name() + "(" +
-          std::to_string(codec->n()) + "," + std::to_string(codec->k()) +
-          ") derives alpha=" + std::to_string(codec->alpha()));
-    }
-  }  // v2..v5: keep the CfsConfig default (scalar Reed-Solomon)
+  CfsConfig& config = image.config;
+  // Every node carries at least its 8-byte store record count, so the
+  // topology can never outgrow the bytes left.
+  config.racks = static_cast<int>(
+      in.i64_in("racks", 1, static_cast<int64_t>(in.left() / 8)));
+  config.nodes_per_rack = static_cast<int>(
+      in.i64_in("nodes_per_rack", 1,
+                static_cast<int64_t>(in.left() / 8) / config.racks));
+  const int64_t nodes =
+      static_cast<int64_t>(config.racks) * config.nodes_per_rack;
+  config.placement.code.n = static_cast<int>(in.i64_in("n", 2, 255));
+  config.placement.code.k =
+      static_cast<int>(in.i64_in("k", 1, config.placement.code.n - 1));
+  const int n = config.placement.code.n;
+  const int k = config.placement.code.k;
+  config.placement.replication =
+      static_cast<int>(in.i64_in("replication", 1, nodes));
+  config.placement.one_replica_per_rack = in.i64() != 0;
+  config.placement.c = static_cast<int>(in.i64_in("c", 1, n));
+  config.placement.target_racks =
+      static_cast<int>(in.i64_in("target_racks", 0, config.racks));
+  config.use_ear = in.i64() != 0;
+  if (!config.use_ear && config.racks < 2) {
+    reject("random replication needs at least two racks");
+  }
+  config.block_size = in.i64_in("block_size", 1, kMax);
+  config.construction = in.i64() != 0 ? erasure::Construction::kCauchy
+                                      : erasure::Construction::kVandermonde;
+  config.seed = in.u64();
+  config.namespace_shards = static_cast<int>(
+      in.i64_in("namespace_shards", 1, kMaxNamespaceShards));
+  config.cache_bytes = in.i64_in("cache_bytes", 0, kMax);
+  config.store_backend =
+      static_cast<store::StoreBackend>(in.i64_in("store_backend", 0, 1));
+  const std::vector<uint8_t> dir = in.bytes();
+  config.store_dir.assign(dir.begin(), dir.end());
+  config.store_segment_bytes = in.i64_in("store_segment_bytes", 1, kMax);
+  config.ecdag_enable = in.i64() != 0;
+  config.codec_family =
+      static_cast<erasure::CodecFamily>(in.i64_in("codec_family", 0, 4));
+  const int64_t alpha = in.i64();
+  const auto codec = config_checked([&] {
+    return erasure::make_codec(config.codec_family, n, k, config.construction);
+  });
+  if (alpha != codec->alpha()) {
+    throw std::runtime_error(
+        "checkpoint sub-packetization mismatch: file says alpha=" +
+        std::to_string(alpha) + " but " + codec->name() + "(" +
+        std::to_string(codec->n()) + "," + std::to_string(codec->k()) +
+        ") derives alpha=" + std::to_string(codec->alpha()));
+  }
   image.next_block_id = in.i64();
 
   const uint64_t location_count = in.u64();
   for (uint64_t i = 0; i < location_count; ++i) {
     const BlockId block = in.i64();
     const uint64_t locs = in.u64();
-    std::vector<NodeId> nodes;
+    std::vector<NodeId> nodes_of_block;
     for (uint64_t j = 0; j < locs; ++j) {
-      nodes.push_back(static_cast<NodeId>(in.i64()));
+      nodes_of_block.push_back(
+          static_cast<NodeId>(in.i64_in("location node", 0, nodes - 1)));
     }
-    image.locations.emplace(block, std::move(nodes));
+    image.locations.emplace(block, std::move(nodes_of_block));
   }
 
   const uint64_t stripe_count = in.u64();
   for (uint64_t i = 0; i < stripe_count; ++i) {
     StripeMeta meta;
-    meta.id = in.i64();
+    meta.id = in.i64_in("stripe id", -kMaxStripeId, kMaxStripeId);
     meta.encoded = in.i64() != 0;
-    const uint64_t dcount = in.u64();
-    for (uint64_t j = 0; j < dcount; ++j) meta.data_blocks.push_back(in.i64());
-    const uint64_t pcount = in.u64();
-    for (uint64_t j = 0; j < pcount; ++j) {
-      meta.parity_blocks.push_back(in.i64());
-    }
+    // An encoded stripe lists all k data and n - k parity blocks; one
+    // still filling lists at most k data blocks and no parity.
+    const int64_t dcount =
+        in.i64_in("stripe data blocks", meta.encoded ? k : 0, k);
+    for (int64_t j = 0; j < dcount; ++j) meta.data_blocks.push_back(in.i64());
+    const int64_t m = meta.encoded ? n - k : 0;
+    const int64_t pcount = in.i64_in("stripe parity blocks", m, m);
+    for (int64_t j = 0; j < pcount; ++j) meta.parity_blocks.push_back(in.i64());
     image.stripes.emplace(meta.id, std::move(meta));
   }
 
@@ -274,23 +304,33 @@ std::unique_ptr<MiniCfs> load_checkpoint(
   for (uint64_t i = 0; i < pos_count; ++i) {
     const BlockId block = in.i64();
     const StripeId stripe = in.i64();
-    const int pos = static_cast<int>(in.i64());
+    const int pos = static_cast<int>(in.i64_in("stripe position", 0, n - 1));
     image.block_positions.emplace(block, std::make_pair(stripe, pos));
   }
 
-  const uint64_t node_count = in.u64();
-  image.node_blocks.resize(node_count);
-  for (uint64_t i = 0; i < node_count; ++i) {
+  if (in.u64() != static_cast<uint64_t>(nodes)) {
+    reject("node store count differs from the topology");
+  }
+  image.node_blocks.resize(static_cast<size_t>(nodes));
+  for (auto& node_store : image.node_blocks) {
     const uint64_t blocks = in.u64();
     for (uint64_t j = 0; j < blocks; ++j) {
       const BlockId block = in.i64();
       // take() adopts the decoded vector without a byte copy.
-      image.node_blocks[i].emplace(block,
-                                   datapath::BlockBuffer::take(in.bytes()));
+      auto bytes = datapath::BlockBuffer::take(in.bytes());
+      if (static_cast<int64_t>(bytes.size()) != config.block_size) {
+        reject("block " + std::to_string(block) + " is not block_size long");
+      }
+      node_store.emplace(block, std::move(bytes));
     }
   }
+  if (in.left() != 0) {
+    reject(std::to_string(in.left()) + " trailing bytes after the stores");
+  }
 
-  return MiniCfs::from_image(std::move(image), std::move(transport));
+  return config_checked([&] {
+    return MiniCfs::from_image(std::move(image), std::move(transport));
+  });
 }
 
 bool save_checkpoint_file(const MiniCfs& cfs, const std::string& path) {
@@ -309,6 +349,10 @@ std::unique_ptr<MiniCfs> load_checkpoint_file(
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
   std::fseek(f, 0, SEEK_SET);
+  if (size < 0) {
+    std::fclose(f);
+    throw std::runtime_error("cannot size checkpoint " + path);
+  }
   std::vector<uint8_t> data(static_cast<size_t>(size));
   const size_t read = std::fread(data.data(), 1, data.size(), f);
   std::fclose(f);

@@ -2,16 +2,20 @@
 // in-process cluster image so tests and long experiments can save and
 // restore a loaded cluster.
 //
-// Format: a self-describing little-endian binary stream,
-//   magic "EARCKPT<v>" (writer emits version 4; readers accept 2..4,
-//   defaulting the fields an older version lacks and rejecting unknown
-//   versions with a clear message)
-//   cluster config (topology, code, replication, block size; v3+ adds
-//   read-path cache bytes and fan-out lanes; v4+ adds the block-store
-//   backend, directory and segment size)
+// Format: a little-endian binary stream,
+//   magic "EARCKPT7" (the only version: a reader rejects any other by name)
+//   cluster config (topology, code and codec family with its alpha,
+//   replication, block size, namespace shards, cache bytes, block-store
+//   backend, directory and segment size, ecdag flag)
 //   block locations (block id -> node list)
 //   stripe map (data/parity block lists, encoded flag, stripe positions)
 //   per-node block stores (block id -> bytes)
+//   CRC-32 (common/crc32.h) of every byte before it
+//
+// The loader treats the image as untrusted: a bad checksum, a field out of
+// range, a count or length larger than the bytes left, or a config the
+// cluster cannot be built from all throw std::runtime_error before
+// anything is sized from them.
 //
 // Restore builds a MiniCfs whose reads (including degraded reads and
 // repair) behave identically to the snapshotted one.  Placement-policy

@@ -403,9 +403,36 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
   };
 
   const Bytes sub = codec_->sub_block_size(config_.block_size);
+  const Bytes alpha = codec_->alpha();
+  // Chunk c covers bytes [offset, offset + len) of every sub-block, so a
+  // whole block ships len x alpha bytes per chunk.
+  const datapath::ChunkPlan chunks{sub, transport_->preferred_chunk()};
   // Every path below writes each output byte before reading it.
   auto out = datapath::MutableBlockBuffer::uninitialized(
       static_cast<size_t>(config_.block_size));
+
+  // Repair pipelining, for every read whose sources each ship their whole
+  // block: the helpers form a chain ending at the reader, and each hop
+  // forwards the running partial sum of chunk c as soon as its predecessor
+  // has delivered it.  Every link carries one block instead of the
+  // reader's down-link carrying k.  The math runs at the reader (the ecdag
+  // convention: the transport charges each hop's bytes, the result is
+  // byte-identical), and the wire bytes are one block per source.
+  const auto chain_to_reader = [&](const std::vector<NodeId>& helpers,
+                                   const std::function<void(int)>& compute) {
+    const std::vector<NodeId> chain = chain_order(topo_, helpers, reader);
+    const int hops = static_cast<int>(chain.size());
+    datapath::StagedPipeline::run_chain(
+        chunks.count(), hops,
+        /*hop=*/
+        [&](int h, int c) {
+          const NodeId next =
+              h + 1 < hops ? chain[static_cast<size_t>(h + 1)] : reader;
+          transport_->transfer(chain[static_cast<size_t>(h)], next,
+                               static_cast<Bytes>(chunks.len(c)) * alpha);
+        },
+        compute);
+  };
 
   erasure::RepairPlan plan;
   if (codec_->plan_repair(wanted_pos, live_ids, &plan)) {
@@ -416,7 +443,6 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
     std::vector<NodeId> sources;          // per plan source
     std::vector<datapath::BlockBuffer> unit_bufs;
     std::vector<erasure::BlockView> units;       // plan unit order
-    std::vector<NodeId> unit_nodes;              // source node per unit
     for (const erasure::RepairSource& src : plan.sources) {
       const auto it = std::find(live_ids.begin(), live_ids.end(), src.id);
       const BlockId b =
@@ -428,126 +454,69 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
             s, b, static_cast<size_t>(z) * static_cast<size_t>(sub),
             static_cast<size_t>(sub)));
         units.emplace_back(unit_bufs.back().span());
-        unit_nodes.push_back(s);
       }
     }
     ctr_degraded_read_bytes_->add(
         static_cast<int64_t>(plan.bytes_read(config_.block_size)));
 
-    std::vector<erasure::MutBlockView> out_subs;
-    for (int z = 0; z < plan.alpha; ++z) {
-      out_subs.emplace_back(out.window(
-          static_cast<size_t>(z) * static_cast<size_t>(sub),
-          static_cast<size_t>(sub)));
-    }
-
-    if (config_.ecdag_enable) {
-      // Distributed reconstruction (src/ecdag/): the plan's alpha x units
-      // coefficient schedule lowered into a rack-aware partial-sum tree
-      // rooted at the reader, one DAG output per rebuilt sub-block.  A rack
-      // holding several units XOR-combines its coeff x unit terms locally
-      // and ships one chunk per output instead of one per unit — byte-
-      // identical to the single-node schedule (and to the pre-codec 1 x k
-      // decode DAG at alpha == 1).
-      const std::vector<NodeId> out_nodes(static_cast<size_t>(plan.alpha),
-                                          reader);
-      const ecdag::EcDag dag = ecdag::build_aggregation_dag(
-          plan.coeffs, unit_nodes, out_nodes, reader, topo_);
-      ecdag::ExecOptions opts;
-      opts.unit_size = sub;
-      opts.preferred_chunk = transport_->preferred_chunk();
-      ecdag::execute(
-          dag, topo_, units, out_subs,
-          [this](NodeId src, NodeId dst, Bytes len) {
-            transport_->transfer(src, dst, len);
-          },
-          nullptr, opts);
-      return std::move(out).seal();
-    }
-
-    const datapath::ChunkPlan chunks{sub, transport_->preferred_chunk()};
+    // One fused apply_plan_chunk per chunk at the reader.
     const auto compute = [&](int c) {
       erasure::ErasureCodec::apply_plan_chunk(plan, units, out.span(),
                                               chunks.offset(c), chunks.len(c));
     };
-
     const bool whole_blocks = std::all_of(
         plan.sources.begin(), plan.sources.end(),
         [&plan](const erasure::RepairSource& src) {
           return static_cast<int>(src.sub_blocks.size()) == plan.alpha;
         });
-    if (whole_blocks) {
-      // Repair pipelining: every source ships its whole block (RS, LRC
-      // groups), so the helpers form a chain ending at the reader and each
-      // hop forwards the running partial sum of chunk c as soon as its
-      // predecessor has delivered it.  Every link carries one block instead
-      // of the reader's down-link carrying k.  The math stays one fused
-      // apply_plan_chunk per chunk at the reader (the ecdag convention: the
-      // transport charges each hop's bytes, the result is byte-identical),
-      // and the wire bytes are the plan's: one block per source.
-      const std::vector<NodeId> chain = chain_order(topo_, sources, reader);
-      const int hops = static_cast<int>(chain.size());
-      datapath::StagedPipeline::run_chain(
-          chunks.count(), hops,
-          /*hop=*/
-          [&](int h, int c) {
-            const NodeId next =
-                h + 1 < hops ? chain[static_cast<size_t>(h + 1)] : reader;
-            transport_->transfer(
-                chain[static_cast<size_t>(h)], next,
-                static_cast<Bytes>(chunks.len(c)) * plan.alpha);
-          },
-          compute);
+    if (whole_blocks) {  // RS, LRC groups and globals
+      chain_to_reader(sources, compute);
       return std::move(out).seal();
     }
 
     // Sub-block plans (Clay, Hitchhiker) fan in instead: a chain hop would
     // carry the whole rebuilt block, more than each helper's ranged share.
-    // One fetch lane per source node (or read_fanout_lanes of them,
-    // round-robin), chunked over the sub-block window so the incremental
-    // schedule overlaps the transfers; each source ships len x (its fetched
-    // sub-blocks) per chunk.
-    const int nsources = static_cast<int>(plan.sources.size());
-    const int lanes = config_.read_fanout_lanes <= 0
-                          ? nsources
-                          : std::min(config_.read_fanout_lanes, nsources);
+    // One fetch lane per source, chunked over the sub-block window so the
+    // incremental schedule overlaps the transfers; each source ships
+    // len x (its fetched sub-blocks) per chunk.
     datapath::StagedPipeline::run_fanout(
-        chunks.count(), lanes,
+        chunks.count(), static_cast<int>(plan.sources.size()),
         /*fetch=*/
-        [&](int lane, int c) {
-          const Bytes len = static_cast<Bytes>(chunks.len(c));
-          for (int s = lane; s < nsources; s += lanes) {
-            const auto& src = plan.sources[static_cast<size_t>(s)];
-            transport_->transfer(
-                sources[static_cast<size_t>(s)], reader,
-                len * static_cast<Bytes>(src.sub_blocks.size()));
-          }
+        [&](int s, int c) {
+          const auto& src = plan.sources[static_cast<size_t>(s)];
+          transport_->transfer(
+              sources[static_cast<size_t>(s)], reader,
+              static_cast<Bytes>(chunks.len(c)) *
+                  static_cast<Bytes>(src.sub_blocks.size()));
         },
         compute);
     return std::move(out).seal();
   }
 
   // No schedule-driven plan for this pattern (e.g. an LRC group helper is
-  // down): whole-block fallback — ship the first k live blocks to the
-  // reader and reconstruct.
-  std::vector<int> chosen_ids(live_ids.begin(),
-                              live_ids.begin() + codec_->k());
+  // down, or two Clay blocks are): the first k live blocks ride the helper
+  // chain whole, and the reader decodes once the last chunk has landed.
+  // Every buffer is taken before the wire, so a store miss moves no bytes.
+  const int k = codec_->k();
+  const std::vector<int> chosen_ids(live_ids.begin(), live_ids.begin() + k);
+  std::vector<NodeId> helpers;
   std::vector<datapath::BlockBuffer> bufs;
   std::vector<erasure::BlockView> views;
-  for (size_t i = 0; i < chosen_ids.size(); ++i) {
-    const BlockId b = live_blocks[i];
-    const NodeId s = source_of(b);
-    bufs.push_back(fetch(s, b));  // before the wire: a miss moves no bytes
-    transport_->transfer(s, reader, config_.block_size);
+  for (int i = 0; i < k; ++i) {
+    const BlockId b = live_blocks[static_cast<size_t>(i)];
+    helpers.push_back(source_of(b));
+    bufs.push_back(fetch(helpers.back(), b));
     views.emplace_back(bufs.back().span());
   }
-  ctr_degraded_read_bytes_->add(static_cast<int64_t>(chosen_ids.size()) *
-                                config_.block_size);
-  std::string why;
-  if (!codec_->reconstruct(chosen_ids, views, {wanted_pos}, {out.span()},
-                           &why)) {
-    throw std::runtime_error("degraded read decode failed: " + why);
-  }
+  ctr_degraded_read_bytes_->add(static_cast<int64_t>(k) * config_.block_size);
+  chain_to_reader(helpers, [&](int c) {
+    if (c + 1 < chunks.count()) return;
+    std::string why;
+    if (!codec_->reconstruct(chosen_ids, views, {wanted_pos}, {out.span()},
+                             &why)) {
+      throw std::runtime_error("degraded read decode failed: " + why);
+    }
+  });
   return std::move(out).seal();
 }
 
@@ -652,7 +621,6 @@ void MiniCfs::encode_stripe(StripeId stripe,
     ecdag::ExecOptions opts;
     opts.unit_size = sub;
     opts.preferred_chunk = transport_->preferred_chunk();
-    opts.charge_local_reads = true;
     ecdag::execute(
         dag, topo_, data_units, parity_units,
         [this](NodeId src, NodeId dst, Bytes len) {
@@ -670,10 +638,10 @@ void MiniCfs::encode_stripe(StripeId stripe,
     // of every sub-block, so each block ships len * alpha bytes per chunk
     // (at alpha == 1 this is the pre-codec whole-block chunking, exactly).
     const datapath::ChunkPlan chunks{sub, transport_->preferred_chunk()};
-    datapath::StagedPipeline::run(
-        chunks.count(),
+    datapath::StagedPipeline::run_fanout(
+        chunks.count(), /*lanes=*/1,
         /*fetch=*/
-        [&](int c) {
+        [&](int, int c) {
           const Bytes len =
               static_cast<Bytes>(chunks.len(c)) * static_cast<Bytes>(alpha);
           for (int i = 0; i < k; ++i) {

@@ -52,7 +52,7 @@ struct CfsConfig {
   // adds local-group repair; kClay / kHitchhiker are sub-packetized vector
   // codes whose single-block repairs fetch sub-block ranges of the helpers
   // instead of k full blocks.  block_size must be divisible by the
-  // family's sub-packetization alpha (serialized since EARCKPT6).
+  // family's sub-packetization alpha (serialized in the checkpoint).
   erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
   uint64_t seed = 1;
   // NameNode lock striping (cfs/namespace.h).  1 reproduces the old
@@ -63,13 +63,6 @@ struct CfsConfig {
   // bytes and zero copies.  0 (default) disables the cache and reproduces
   // the pre-cache read path exactly.
   Bytes cache_bytes = 0;
-  // Degraded-read fetch fan-out for sub-block repair plans (Clay,
-  // Hitchhiker): number of concurrent per-source fetch lanes
-  // (datapath::StagedPipeline::run_fanout).  0 (default) = one lane per
-  // source; 1 = the old single-lane round-robin fetch loop.  Plans whose
-  // sources all ship whole blocks (RS, LRC groups) run as a helper chain
-  // (run_chain) and ignore it.
-  int read_fanout_lanes = 0;
   // DataNode block-store backend (src/store/).  kMem (default) keeps blocks
   // in RAM — the pre-store behavior, byte for byte.  kMmap lays blocks out
   // in per-node segment files under `store_dir` with a crash-consistent
@@ -82,12 +75,13 @@ struct CfsConfig {
   std::string store_dir;
   // Segment-file roll size for the mmap backend.
   Bytes store_segment_bytes = 256_MB;
-  // Distributed encode/repair DAGs (src/ecdag/): encode, repair, and
-  // degraded-read reconstruction run as rack-aware partial-sum trees, so
-  // each remote rack ships one combined chunk per requested output across
-  // the core switch instead of every raw block.  false (default) keeps the
-  // single-node data paths (the staged encode pipeline; the helper chain or
-  // the fan-in for degraded reads), byte for byte.
+  // Distributed encode (src/ecdag/): the stripe encode runs as a
+  // rack-aware partial-sum tree, so each remote rack ships one combined
+  // chunk per parity output across the core switch instead of every raw
+  // block.  false (default) keeps the single-node staged encode pipeline;
+  // the parity is byte-identical either way.  Degraded reads and repairs
+  // ignore it: they always take the helper chain or the fan-out lanes
+  // (read_block).  SimConfig::ecdag_enable means the same in the simulator.
   bool ecdag_enable = false;
 };
 
@@ -165,10 +159,11 @@ class MiniCfs {
   // to the replica's stored buffer; a copy deleted under the read, e.g. by
   // a racing encode, sends it to the next live copy); otherwise performs a
   // degraded read, reconstructing from any k live blocks of the encoded
-  // stripe through the staged chunked pipeline: whole-block plans stream a
-  // partial sum down a chain of helpers to the reader (repair pipelining),
-  // sub-block plans fan in over per-source lanes
-  // (CfsConfig::read_fanout_lanes).  Every store miss a read retries past
+  // stripe through the staged chunked pipeline: when every source ships
+  // its whole block (RS, LRC, and the decode fallback when the codec has
+  // no plan) the reader is the end of a helper chain that streams a
+  // partial sum (repair pipelining); sub-block plans (Clay, Hitchhiker)
+  // fan in over one lane per source.  Every store miss a read retries past
   // counts in `cfs.read.store_misses`.  Throws std::runtime_error when the
   // block is unrecoverable.
   datapath::BlockBuffer read_block(BlockId block, NodeId reader);
@@ -336,10 +331,10 @@ class MiniCfs {
   // replica delete, encode commit, repair/replicate rewrite, node revive).
   void cache_invalidate(BlockId block);
 
-  // Reconstructs `block` from k live stripe blocks through the staged
-  // chunked pipeline (a helper chain for whole-block plans, fan-out lanes
-  // for sub-block ones).  The slow path of read_block.  Retries degraded_read_once when a helper it picked is
-  // gone by the time its bytes are fetched.
+  // Reconstructs `block` from live stripe blocks: the slow path of
+  // read_block.  degraded_read retries degraded_read_once, which runs one
+  // attempt, when a helper it picked is gone by the time its bytes are
+  // fetched.
   datapath::BlockBuffer degraded_read(BlockId block, NodeId reader);
   datapath::BlockBuffer degraded_read_once(BlockId block, NodeId reader);
 

@@ -125,9 +125,6 @@ class MutableBlockBuffer {
   size_t size() const { return size_; }
   uint8_t* data() { return data_.get(); }
   std::span<uint8_t> span() { return {data_.get(), size_}; }
-  std::span<uint8_t> window(size_t offset, size_t len) {
-    return span().subspan(offset, len);
-  }
 
   // Freezes the contents; this handle becomes empty.  No bytes move.
   BlockBuffer seal() && {

@@ -45,83 +45,6 @@ int ChunkLadder::ready() const {
 
 namespace {
 
-// Runs the upload stage: upload(c) as soon as compute(c) has published.
-// Returns early when the compute stage aborts.
-void upload_stage(int chunks, ChunkLadder& computed,
-                  const std::function<void(int)>& upload) {
-  obs::Span span("datapath.upload", "datapath");
-  span.arg("chunks", chunks);
-  for (int c = 0; c < chunks; ++c) {
-    if (!computed.wait_for(c + 1)) return;
-    upload(c);
-  }
-}
-
-}  // namespace
-
-void StagedPipeline::run(int chunks, const std::function<void(int)>& fetch,
-                         const std::function<void(int)>& compute,
-                         const std::function<void(int)>& upload) {
-  if (chunks <= 1) {
-    // One-shot path: no stage tasks, no handoff.
-    fetch(0);
-    compute(0);
-    if (upload) upload(0);
-    return;
-  }
-
-  static obs::Gauge* gauge_in_flight =
-      &obs::Registry::instance().gauge("datapath.chunks_in_flight");
-
-  ChunkLadder fetched;   // fetch -> compute
-  ChunkLadder computed;  // compute -> upload
-  std::exception_ptr fetch_error;
-  // Declared after everything the stage tasks touch: on every exit path,
-  // exceptions included, the group waits for its tasks before those go.
-  TaskGroup stages(WorkerPool::shared());
-
-  stages.submit([&] {
-    obs::Span span("datapath.fetch", "datapath");
-    span.arg("chunks", chunks);
-    try {
-      for (int c = 0; c < chunks; ++c) {
-        fetch(c);
-        fetched.publish(c + 1);
-      }
-    } catch (...) {
-      fetch_error = std::current_exception();
-      fetched.abort();
-    }
-  });
-  if (upload) {
-    stages.submit([&] { upload_stage(chunks, computed, upload); });
-  }
-
-  try {
-    obs::Span span("datapath.compute", "datapath");
-    span.arg("chunks", chunks);
-    for (int c = 0; c < chunks; ++c) {
-      if (!fetched.wait_for(c + 1)) {
-        computed.abort();
-        break;
-      }
-      // Chunks fetched but not yet consumed: > 1 means transfer and compute
-      // are overlapping (the fetch stage ran ahead while we computed).
-      gauge_in_flight->set_max(static_cast<double>(fetched.ready() - c));
-      compute(c);
-      computed.publish(c + 1);
-    }
-  } catch (...) {
-    computed.abort();  // release the uploader so the group can drain
-    throw;
-  }
-
-  stages.wait();
-  if (fetch_error) std::rethrow_exception(fetch_error);
-}
-
-namespace {
-
 // Counting semaphore bounding how many fan-out lanes and chain hops move
 // bytes at once across the whole process.  A lane holds a slot only while it
 // fetches and a hop only while it moves one chunk — never while waiting on
@@ -172,12 +95,12 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
                                 const std::function<void(int, int)>& fetch,
                                 const std::function<void(int)>& compute,
                                 const std::function<void(int)>& upload) {
-  if (lanes <= 1) {
-    // Single lane: identical to the round-robin baseline.  Note chunks <= 1
-    // must NOT collapse to this path when lanes > 1 — each lane covers a
-    // disjoint share of the sources, so every lane must still run.
-    run(
-        chunks, [&fetch](int c) { fetch(0, c); }, compute, upload);
+  if (lanes == 1 && chunks <= 1) {
+    // One-shot path: no stage tasks, no hand-off.  With more lanes every
+    // lane still runs, since each covers a disjoint share of the sources.
+    fetch(0, 0);
+    compute(0);
+    if (upload) upload(0);
     return;
   }
 
@@ -191,13 +114,14 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
   std::vector<std::exception_ptr> errors(static_cast<size_t>(lanes));
   std::atomic<bool> aborting{false};
   ChunkLadder computed;  // compute -> upload
-  // Declared last, as in run(): it waits for the lanes on every exit path.
+  // Declared after everything the stage tasks touch: on every exit path,
+  // exceptions included, the group waits for its tasks before those go.
   TaskGroup stages(WorkerPool::shared());
 
   for (int l = 0; l < lanes; ++l) {
     stages.submit([&, l] {
       LaneSlot slot;
-      obs::Span span("datapath.fetch_lane", "datapath");
+      obs::Span span("datapath.fetch", "datapath");
       span.arg("lane", l);
       span.arg("chunks", chunks);
       try {
@@ -218,7 +142,13 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
     });
   }
   if (upload) {
-    stages.submit([&] { upload_stage(chunks, computed, upload); });
+    // upload(c) as soon as compute(c) has published; stops when compute
+    // aborts.
+    stages.submit([&] {
+      obs::Span span("datapath.upload", "datapath");
+      span.arg("chunks", chunks);
+      for (int c = 0; c < chunks && computed.wait_for(c + 1); ++c) upload(c);
+    });
   }
 
   try {
@@ -286,7 +216,8 @@ void StagedPipeline::run_chain(int chunks, int hops,
     aborting.store(true, std::memory_order_relaxed);
     for (auto& ladder : crossed) ladder.abort();
   };
-  // Declared last, as in run(): it waits for the tasks on every exit path.
+  // Declared last, as in run_fanout(): it waits for the tasks on every exit
+  // path.
   TaskGroup stages(WorkerPool::shared());
 
   for (int c = 0; c < chunks; ++c) {

@@ -9,12 +9,13 @@
 // upload use disjoint links (the encoder's down- and up-link), so the
 // three stages genuinely overlap in real time under ThrottledTransport.
 //
-// StagedPipeline::run coordinates the three stages with chunk-granularity
-// handoff; run_fanout pulls k sources to one node over concurrent lanes;
-// run_chain streams a partial sum through a chain of helpers so no link
-// carries more than one block; ChunkPlan slices a block into
-// transport-sized windows; the `datapath.chunks_in_flight` gauge records the
-// high-water fetch/compute distance, proving the overlap.  Stages, fan-out
+// StagedPipeline::run_fanout pulls sources to one node over concurrent
+// lanes and overlaps them with compute and upload at chunk granularity
+// (encode runs it with one lane); run_chain streams a partial sum through
+// a chain of helpers so no link carries more than one block; ChunkPlan
+// slices a block into transport-sized windows; the
+// `datapath.chunks_in_flight` gauge records the high-water fetch/compute
+// distance, proving the overlap.  Stages, fan-out
 // lanes and chain moves run as tasks on the shared WorkerPool
 // (datapath/worker_pool.h), so a call costs a few task hand-offs, not the
 // creation and join of a thread per stage or lane.
@@ -80,44 +81,34 @@ class ChunkLadder {
 
 class StagedPipeline {
  public:
-  // Runs `fetch`, `compute` and (optionally) `upload` once per chunk with
-  // chunk-granularity handoff: compute(c) starts as soon as fetch(c) has
-  // finished, upload(c) as soon as compute(c) has.  fetch and upload run as
-  // tasks on the shared WorkerPool, under the caller's QoS context; compute
-  // runs on the calling thread, which waits for both tasks before it
-  // returns.  The caller may itself be a pool task.  With a single chunk
-  // everything runs inline: the one-shot path has no hand-off at all.
-  //
-  // `upload` must not throw.  An exception from `fetch` aborts the pipeline
-  // and is rethrown to the caller after every stage task has finished; one
-  // from `compute` likewise leaves only after the stage tasks have drained.
-  static void run(int chunks, const std::function<void(int)>& fetch,
-                  const std::function<void(int)>& compute,
-                  const std::function<void(int)>& upload = nullptr);
-
-  // Fan-out variant for degraded reads and DAG execution: `lanes` fetch
-  // lanes run concurrently, each as its own shared-pool task, and
-  // fetch(lane, c) is called once per (lane, chunk).  Each lane streams its
-  // chunks independently — a lane stuck behind a congested cross-rack link
-  // no longer head-of-line-blocks the intra-rack lanes — and compute(c)
-  // starts as soon as every lane has delivered chunk c (the k chunks of
-  // ladder rung c have landed).  An optional `upload` stage mirrors run():
-  // upload(c) runs as its own pool task as soon as compute(c) has
+  // Fan-in pipeline for encode, sub-block degraded reads and DAG
+  // execution: `lanes` fetch lanes run concurrently, each as its own
+  // shared-pool task under the caller's QoS context, and fetch(lane, c) is
+  // called once per (lane, chunk).  Each lane streams its chunks
+  // independently — a lane stuck behind a congested cross-rack link does
+  // not head-of-line-block the intra-rack lanes — and compute(c) runs on
+  // the calling thread as soon as every lane has delivered chunk c (the
+  // rung c of every lane's ladder has landed), so the math for chunk c
+  // overlaps the transfer of chunk c+1.  An optional `upload` stage runs
+  // as its own pool task: upload(c) starts as soon as compute(c) has
   // finished, so result chunks leave while later rungs are still arriving
-  // (the ecdag executor ships parity/reconstruction chunks this way).
+  // (encode pushes parity chunks out this way).  The caller may itself be
+  // a pool task.
   //
   // Lane *concurrency* is bounded: at most kMaxActiveLanes lanes across the
   // whole process move bytes at once, and surplus lanes wait their turn.
   // The gate cannot deadlock: a lane holds a slot only while fetching,
   // never while waiting on another lane.
   //
-  // lanes <= 1 degenerates to run(fetch(0, ·), compute): the exact
-  // pre-fan-out behaviour, used as the round-robin baseline.  chunks <= 1
-  // with lanes > 1 still runs every lane (each covers a disjoint share of
-  // the work); only the ladder depth is trivial.
+  // One lane and one chunk run everything inline on the caller: the
+  // one-shot path has no hand-off at all.  chunks <= 1 with lanes > 1
+  // still runs every lane (each covers a disjoint share of the work); only
+  // the ladder depth is trivial.
   //
-  // Errors as in run(): the first lane error aborts every stage (including
-  // the uploader) and is rethrown after every task of the call has drained.
+  // `upload` must not throw.  The first lane error aborts every stage
+  // (including the uploader) and is rethrown after every task of the call
+  // has drained; a compute error likewise leaves only after the tasks have
+  // drained.
   static void run_fanout(int chunks, int lanes,
                          const std::function<void(int, int)>& fetch,
                          const std::function<void(int)>& compute,

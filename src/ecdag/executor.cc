@@ -1,5 +1,6 @@
 #include "ecdag/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -152,7 +153,7 @@ ExecStats execute(const EcDag& dag, const Topology& topo,
       }
     });
   }
-  if (opts.charge_local_reads && local_read && !plan.local_inputs.empty()) {
+  if (local_read && !plan.local_inputs.empty()) {
     lanes.push_back([&](int c) {
       const Bytes len = static_cast<Bytes>(cp.len(c));
       for (const int input : plan.local_inputs) {
@@ -210,15 +211,14 @@ ExecStats execute(const EcDag& dag, const Topology& topo,
     span.arg("chunks", chunks);
     span.arg("streams", static_cast<int>(plan.streams.size()));
     span.arg("cross_hops", plan.cross_hops);
-    if (lanes.empty()) {
-      datapath::StagedPipeline::run(chunks, [](int) {}, compute, upload);
-    } else {
-      const int n_lanes = static_cast<int>(lanes.size());
-      datapath::StagedPipeline::run_fanout(
-          chunks, n_lanes,
-          [&lanes](int l, int c) { lanes[static_cast<size_t>(l)](c); },
-          compute, upload);
-    }
+    // Every input local to the root: one idle lane.
+    const int n_lanes = std::max(static_cast<int>(lanes.size()), 1);
+    datapath::StagedPipeline::run_fanout(
+        chunks, n_lanes,
+        [&lanes](int l, int c) {
+          if (!lanes.empty()) lanes[static_cast<size_t>(l)](c);
+        },
+        compute, upload);
   }
 
   stats.cross_rack_bytes = cross_bytes.load();

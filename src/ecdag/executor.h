@@ -36,10 +36,6 @@ using LocalReadFn = std::function<void(NodeId node, Bytes len)>;
 struct ExecOptions {
   Bytes unit_size = 0;         // bytes per input/output symbol
   Bytes preferred_chunk = 0;   // pipeline granularity; 0 => one-shot
-  // Charge local_read for inputs consumed on the node storing them (the
-  // encode path mirrors the legacy encoder's disk reads; degraded reads
-  // historically charge nothing for reader-local sources).
-  bool charge_local_reads = false;
 };
 
 struct ExecStats {
@@ -53,7 +49,9 @@ struct ExecStats {
 // Executes `dag` over real bytes: inputs[i] / outputs[j] correspond to
 // EcDag::input_nodes / output_nodes and must all be opts.unit_size long.
 // Transfers abort the pipeline on throw (the exception is rethrown after
-// the lanes drain); local_read may be null when charge_local_reads is off.
+// the lanes drain).  local_read is charged for inputs consumed on the node
+// storing them, as the single-node encoder charges its disk reads; it may
+// be null, and such inputs then cost nothing.
 ExecStats execute(const EcDag& dag, const Topology& topo,
                   const std::vector<erasure::BlockView>& inputs,
                   const std::vector<erasure::MutBlockView>& outputs,

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <typeinfo>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace ear::cfs {
@@ -129,80 +131,21 @@ TEST(Checkpoint, RejectsGarbage) {
                std::runtime_error);
 }
 
-// Down-converts a freshly saved (v6) image to an older format version by
-// deleting the fields that version lacks and patching the magic digit.
-// Layout: 8-byte magic, 13 fixed i64 config fields, the v3 read-path pair
-// (cache_bytes, read_fanout_lanes), the v4 store triple (backend,
-// length-prefixed dir, segment bytes), the v5 ecdag_enable i64, then the
-// v6 codec pair (codec_family, alpha).
-constexpr size_t kV3Offset = 8 + 13 * 8;
-constexpr size_t kV4Offset = kV3Offset + 2 * 8;
-
-size_t v5_offset(const std::vector<uint8_t>& image) {
-  uint64_t dir_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    dir_len |= static_cast<uint64_t>(image[kV4Offset + 8 +
-                                           static_cast<size_t>(i)])
-               << (8 * i);
-  }
-  return kV4Offset + 3 * 8 + static_cast<size_t>(dir_len);
-}
-
-std::vector<uint8_t> downconvert(std::vector<uint8_t> image, int version) {
-  const size_t kV5Offset = v5_offset(image);
-  const size_t kV6Offset = kV5Offset + 8;
-  const auto v6_begin = image.begin() + static_cast<ptrdiff_t>(kV6Offset);
-  image.erase(v6_begin, v6_begin + 2 * 8);
-  if (version <= 4) {
-    const auto v5_begin = image.begin() + static_cast<ptrdiff_t>(kV5Offset);
-    image.erase(v5_begin, v5_begin + 8);
-  }
-  if (version <= 3) {
-    const uint64_t dir_len =
-        static_cast<uint64_t>(kV5Offset - (kV4Offset + 3 * 8));
-    const auto v4_begin = image.begin() + static_cast<ptrdiff_t>(kV4Offset);
-    image.erase(v4_begin,
-                v4_begin + static_cast<ptrdiff_t>(3 * 8 + dir_len));
-  }
-  if (version == 2) {
-    const auto v3_begin = image.begin() + static_cast<ptrdiff_t>(kV3Offset);
-    image.erase(v3_begin, v3_begin + 2 * 8);
-  }
-  image[7] = static_cast<uint8_t>('0' + version);
-  return image;
-}
-
-TEST(Checkpoint, LoadsVersion3WithStoreDefaults) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(5);
-  const auto contents = populate(*original, rng);
-
-  const auto v3 = downconvert(save_checkpoint(*original), 3);
-  auto restored = load_checkpoint(v3, instant(cfg));
-  EXPECT_EQ(restored->config().store_backend, store::StoreBackend::kMem);
-  EXPECT_EQ(restored->config().store_dir, "");
-  EXPECT_EQ(restored->config().store_segment_bytes, 256_MB);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
+// Recomputes the trailing CRC-32 after a test edits an image, so the edit
+// reaches the field parser instead of failing the checksum.
+void restamp(std::vector<uint8_t>& image) {
+  const size_t end = image.size() - 4;
+  const uint32_t crc = crc32(image.data(), end);
+  for (size_t i = 0; i < 4; ++i) {
+    image[end + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
 }
 
-TEST(Checkpoint, LoadsVersion2WithReadPathAndStoreDefaults) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(6);
-  const auto contents = populate(*original, rng);
-
-  const auto v2 = downconvert(save_checkpoint(*original), 2);
-  auto restored = load_checkpoint(v2, instant(cfg));
-  EXPECT_EQ(restored->config().cache_bytes, 0);
-  EXPECT_EQ(restored->config().read_fanout_lanes, 0);
-  EXPECT_EQ(restored->config().store_backend, store::StoreBackend::kMem);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
-  }
-}
+// Layout: 8-byte magic, 14 fixed i64 config fields (through cache_bytes),
+// the store backend, the length-prefixed store dir (empty on the mem
+// backend), the segment bytes, ecdag_enable, then the codec pair
+// (codec_family, alpha).
+constexpr size_t kAlphaOffset = 8 + 14 * 8 + 2 * 8 + 3 * 8;
 
 TEST(Checkpoint, RejectsVersionsOutsideSupportedRange) {
   const auto cfg = ck_config();
@@ -211,34 +154,43 @@ TEST(Checkpoint, RejectsVersionsOutsideSupportedRange) {
   populate(*original, rng);
   auto image = save_checkpoint(*original);
 
-  // A too-old and a too-new digit must both fail loudly, naming the range,
-  // even though the rest of the stream is intact.
-  for (const char digit : {'1', '7'}) {
+  // An older and a newer digit must both fail loudly, naming the version,
+  // even though the rest of the stream (checksum included) is intact.
+  for (const char digit : {'6', '8'}) {
     auto bad = image;
     bad[7] = static_cast<uint8_t>(digit);
+    restamp(bad);
     try {
       load_checkpoint(bad, instant(cfg));
       FAIL() << "version '" << digit << "' must be rejected";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("supported: 2..6"),
+      EXPECT_NE(std::string(e.what()).find(std::string("'EARCKPT") + digit +
+                                           "' (this build reads EARCKPT7"),
                 std::string::npos)
           << e.what();
     }
   }
 }
 
-TEST(Checkpoint, LoadsVersion4WithEcdagDefault) {
+TEST(Checkpoint, RejectsFlippedByteByChecksum) {
   const auto cfg = ck_config();
   auto original = make_cfs(cfg);
   Rng rng(9);
-  const auto contents = populate(*original, rng);
+  populate(*original, rng);
+  const auto image = save_checkpoint(*original);
 
-  const auto v4 = downconvert(save_checkpoint(*original), 4);
-  auto restored = load_checkpoint(v4, instant(cfg));
-  EXPECT_FALSE(restored->config().ecdag_enable)
-      << "pre-ecdag checkpoints must restore to the legacy data path";
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
+  // A config field, a block byte, and the checksum itself.
+  for (const size_t at : {size_t{8}, image.size() / 2, image.size() - 1}) {
+    auto bad = image;
+    bad[at] ^= 0x10;
+    try {
+      load_checkpoint(bad, instant(cfg));
+      FAIL() << "flipped byte " << at << " must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -251,22 +203,6 @@ TEST(Checkpoint, RoundTripPreservesEcdagFlag) {
 
   auto restored = load_checkpoint(save_checkpoint(*original), instant(cfg));
   EXPECT_TRUE(restored->config().ecdag_enable);
-  for (const auto& [id, data] : contents) {
-    EXPECT_EQ(restored->read_block(id, 0), data);
-  }
-}
-
-TEST(Checkpoint, LoadsVersion5WithCodecDefault) {
-  const auto cfg = ck_config();
-  auto original = make_cfs(cfg);
-  Rng rng(11);
-  const auto contents = populate(*original, rng);
-
-  const auto v5 = downconvert(save_checkpoint(*original), 5);
-  auto restored = load_checkpoint(v5, instant(cfg));
-  EXPECT_EQ(restored->config().codec_family, erasure::CodecFamily::kRS)
-      << "pre-codec checkpoints must restore to scalar Reed-Solomon";
-  EXPECT_EQ(restored->codec().alpha(), 1);
   for (const auto& [id, data] : contents) {
     EXPECT_EQ(restored->read_block(id, 0), data);
   }
@@ -294,10 +230,10 @@ TEST(Checkpoint, RejectsSubPacketizationMismatch) {
   populate(*original, rng);
   auto image = save_checkpoint(*original);
 
-  // Corrupt the serialized alpha (second v6 field): the reader must refuse
-  // to mis-slice the block layout.
-  const size_t alpha_offset = v5_offset(image) + 2 * 8;
-  image[alpha_offset] = 99;
+  // Corrupt the serialized alpha: the reader must refuse to mis-slice the
+  // block layout.
+  image[kAlphaOffset] = 99;
+  restamp(image);
   try {
     load_checkpoint(image, instant(cfg));
     FAIL() << "alpha mismatch must be rejected";
@@ -333,6 +269,136 @@ TEST(Checkpoint, RoundTripPreservesStoreConfig) {
   restored.reset();
   std::filesystem::remove_all(cfg.store_dir);
 }
+
+// ---- hostile input: CheckpointMutation ----------------------------------
+//
+// Seeded sweeps over a saved image: bit flips, every truncation, and huge
+// values written over every field.  Each case re-stamps the checksum so it
+// reaches the field parser, and must either load or throw
+// std::runtime_error — no crash, no other exception type.  Under ASan with
+// max_allocation_size_mb, an allocation sized from a hostile field aborts
+// the run.  Built with GCC only, the compiler every CI job uses, so the
+// seeded case lists are the ones CI ran.
+#if defined(__GNUC__) && !defined(__clang__)
+
+// Tiny blocks keep the image near 1.5 KB, so a sweep is a few thousand
+// cheap loads.
+CfsConfig mutation_config() {
+  CfsConfig cfg;
+  cfg.racks = 6;
+  cfg.nodes_per_rack = 2;
+  cfg.placement.code = CodeParams{4, 3};
+  cfg.placement.replication = 2;
+  cfg.use_ear = true;
+  cfg.block_size = 48;
+  cfg.seed = 3;
+  return cfg;
+}
+
+std::vector<uint8_t> mutation_image() {
+  auto cfs = make_cfs(mutation_config());
+  Rng rng(5);
+  populate(*cfs, rng);
+  return save_checkpoint(*cfs);
+}
+
+struct Outcomes {
+  int loaded = 0;
+  int rejected = 0;
+};
+
+// Loads `image`: a load or a std::runtime_error is fine, anything else is
+// a failure.  A loaded cluster must then serve a read of every block it
+// knows (bytes or a std::runtime_error), so a location naming a node
+// outside the topology shows up here, under ASan, rather than later.
+void load_or_reject(const std::vector<uint8_t>& image, const std::string& what,
+                    Outcomes* outcomes) {
+  try {
+    auto cfs = load_checkpoint(image, instant(mutation_config()));
+    ++outcomes->loaded;
+    for (const BlockId b : cfs->all_blocks()) {
+      try {
+        cfs->read_block(b, 0);
+      } catch (const std::runtime_error&) {
+      }
+    }
+  } catch (const std::runtime_error&) {
+    ++outcomes->rejected;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << typeid(e).name() << ": " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << what << ": non-standard exception";
+  }
+}
+
+TEST(CheckpointMutation, BitFlipsLoadOrThrowRuntimeError) {
+  const auto image = mutation_image();
+  ASSERT_NO_THROW(load_checkpoint(image, instant(mutation_config())));
+  const size_t body = image.size() - 4;
+  Rng rng(17);
+  Outcomes outcomes;
+  // One random bit in every byte, then random two- to four-bit bursts.
+  for (size_t at = 0; at < body; ++at) {
+    auto bad = image;
+    bad[at] ^= static_cast<uint8_t>(1u << rng.uniform(8));
+    restamp(bad);
+    load_or_reject(bad, "flip at " + std::to_string(at), &outcomes);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    auto bad = image;
+    const int flips = 2 + static_cast<int>(rng.uniform(3));
+    for (int f = 0; f < flips; ++f) {
+      bad[rng.uniform(body)] ^= static_cast<uint8_t>(1u << rng.uniform(8));
+    }
+    restamp(bad);
+    load_or_reject(bad, "burst " + std::to_string(i), &outcomes);
+  }
+  // Block payload bits load; config, count and id bits mostly do not.
+  EXPECT_GT(outcomes.loaded, 0);
+  EXPECT_GT(outcomes.rejected, 0);
+}
+
+TEST(CheckpointMutation, EveryTruncationThrowsRuntimeError) {
+  const auto image = mutation_image();
+  for (size_t len = 0; len < image.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    std::vector<uint8_t> cut(image.begin(),
+                             image.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_THROW(load_checkpoint(cut, instant(mutation_config())),
+                 std::runtime_error);
+    // Re-stamped, the same cut reaches the parser with a shorter body.
+    if (len >= 12) {
+      restamp(cut);
+      EXPECT_THROW(load_checkpoint(cut, instant(mutation_config())),
+                   std::runtime_error);
+    }
+  }
+}
+
+TEST(CheckpointMutation, HugeLengthAndCountFieldsLoadOrThrow) {
+  const auto image = mutation_image();
+  const size_t body = image.size() - 4;
+  Outcomes outcomes;
+  // Written at every offset, so each lands on every length, count, id and
+  // config field (and straddles their neighbours).
+  for (const uint64_t huge :
+       {~uint64_t{0}, uint64_t{1} << 63, (uint64_t{1} << 63) - 1,
+        uint64_t{1} << 40, uint64_t{1} << 32, uint64_t{0xFFFFFFFF}}) {
+    for (size_t at = 8; at + 8 <= body; ++at) {
+      auto bad = image;
+      for (size_t i = 0; i < 8; ++i) {
+        bad[at + i] = static_cast<uint8_t>(huge >> (8 * i));
+      }
+      restamp(bad);
+      load_or_reject(bad, "value " + std::to_string(huge) + " at " +
+                              std::to_string(at),
+                     &outcomes);
+    }
+  }
+  EXPECT_GT(outcomes.rejected, 0);
+}
+
+#endif  // GCC
 
 }  // namespace
 }  // namespace ear::cfs

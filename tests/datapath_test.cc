@@ -260,9 +260,9 @@ TEST(StagedPipeline, StagesObserveChunkOrder) {
   const int chunks = 16;
   std::vector<int> fetched, computed, uploaded;
   std::mutex mu;
-  StagedPipeline::run(
-      chunks,
-      [&](int c) {
+  StagedPipeline::run_fanout(
+      chunks, /*lanes=*/1,
+      [&](int, int c) {
         std::lock_guard<std::mutex> lock(mu);
         fetched.push_back(c);
       },
@@ -288,9 +288,9 @@ TEST(StagedPipeline, StagesObserveChunkOrder) {
 }
 
 TEST(StagedPipeline, FetchExceptionPropagates) {
-  EXPECT_THROW(StagedPipeline::run(
-                   4,
-                   [&](int c) {
+  EXPECT_THROW(StagedPipeline::run_fanout(
+                   4, /*lanes=*/1,
+                   [&](int, int c) {
                      if (c == 2) throw std::runtime_error("link died");
                    },
                    [&](int) {}),
@@ -300,7 +300,7 @@ TEST(StagedPipeline, FetchExceptionPropagates) {
 TEST(StagedPipeline, ManyShortCallsTearDownCleanly) {
   // Each call's stage tasks signal a latch on the caller's stack; the caller
   // returns, and the next call reuses that stack, as soon as the latch
-  // opens.  Four callers run 10k short run/run_fanout calls (1-12 lanes,
+  // opens.  Four callers run 10k short run_fanout calls (1-12 lanes,
   // with and without an upload stage), ~1% of them failing in fetch, so any
   // task touching its call's state after the latch opened shows up under
   // the sanitizers.
@@ -336,12 +336,7 @@ TEST(StagedPipeline, ManyShortCallsTearDownCleanly) {
         if (with_upload) upload = [&](int) { uploaded.fetch_add(1); };
         if (fail) expected_throws.fetch_add(1);
         try {
-          if (lanes == 1) {
-            StagedPipeline::run(
-                chunks, [&](int c) { fetch(0, c); }, compute, upload);
-          } else {
-            StagedPipeline::run_fanout(chunks, lanes, fetch, compute, upload);
-          }
+          StagedPipeline::run_fanout(chunks, lanes, fetch, compute, upload);
         } catch (const std::runtime_error&) {
           thrown.fetch_add(1);
           continue;

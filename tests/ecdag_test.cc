@@ -45,7 +45,6 @@ ExecStats run_counting(const EcDag& dag, const Topology& topo,
   ExecOptions opts;
   opts.unit_size = unit;
   opts.preferred_chunk = chunk;
-  opts.charge_local_reads = true;
   std::atomic<int64_t> local_bytes{0};
   return execute(
       dag, topo, in, out, [](NodeId, NodeId, Bytes) {},
@@ -518,7 +517,8 @@ TEST(EcDagMiniCfs, EncodeRepairDegradedReadByteIdentical) {
     }
   }
 
-  // Degraded read + repair through the DAG must rebuild identical bytes.
+  // Degraded read + repair ignore the flag: both clusters rebuild through
+  // the helper chain, from the parity each encoder wrote.
   const StripeId stripe = legacy->sealed_stripes()[0];
   const auto meta = legacy->stripe_meta(stripe);
   const BlockId victim = meta.data_blocks[0];

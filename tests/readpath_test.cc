@@ -1,7 +1,7 @@
 // Read-path tests: the reader-side BlockCache (LRU semantics, coherence
 // with delete/encode/repair/revive, the set_transport fill fence), the
 // degraded-read fan-out (reconstruction must be byte-identical in every
-// interleaving of failures, cache state and lane count) and the helper
+// interleaving of codec, failures, chunking and cache state) and the helper
 // chain whole-block degraded reads run on (hop order, bytes, timing).
 #include <gtest/gtest.h>
 
@@ -316,64 +316,59 @@ TEST(ReadPathCache, RepairAndReviveInvalidate) {
 // ------------------------------------------- degraded-read fan-out property
 
 // Property: for seeded random single-node failures, a degraded read is
-// byte-identical to the original data — for every codec family, lane count,
-// chunk size, cache hot or cold, first and repeated reads.  The failed node
+// byte-identical to the original data — for every codec family, chunk
+// size, cache hot or cold, first and repeated reads.  The failed node
 // always holds one of the stripe's data blocks, so every case rebuilds at
-// least one.  RS plans ship whole blocks and run the helper chain, which
-// ignores the lane count; Clay and Hitchhiker plans ship sub-block ranges
-// and run the fan-out lanes (one per source, the round-robin single lane,
-// two lanes over the sources).
+// least one.  RS plans ship whole blocks and run the helper chain; Clay
+// and Hitchhiker plans ship sub-block ranges and run one fan-out lane per
+// source.
 TEST(DegradedFanout, ByteIdenticalAcrossFailuresLanesAndCacheStates) {
   for (const auto family :
        {erasure::CodecFamily::kRS, erasure::CodecFamily::kClay,
         erasure::CodecFamily::kHitchhiker}) {
     for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
-      for (const int lanes : {0, 1, 2}) {  // auto, round-robin, two
-        // One-shot, unaligned, and smaller than a Clay sub-block (256 B).
-        for (const Bytes chunk : {Bytes{0}, 6_KB, Bytes{100}}) {
-          SCOPED_TRACE(std::string(erasure::family_name(family)) + " seed " +
-                       std::to_string(seed) + " lanes " +
-                       std::to_string(lanes) + " chunk " +
-                       std::to_string(chunk));
-          auto cfg = readpath_config();
-          cfg.seed = seed;
-          cfg.read_fanout_lanes = lanes;
-          cfg.codec_family = family;
-          // m = 4: with m = 2 a Hitchhiker data repair reads k blocks'
-          // worth, a whole-block plan that would take the chain.
-          if (family != erasure::CodecFamily::kRS) {
-            cfg.placement.code = CodeParams{10, 6};
-          }
-          // Alternate cache on/off across the sweep.
-          cfg.cache_bytes = (seed % 2 == 0) ? 64_MB : 0;
-          std::map<BlockId, std::vector<uint8_t>> originals;
-          StripeId stripe = kInvalidStripe;
-          auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
-          cfs->encode_stripe(stripe);
+      // One-shot, unaligned, and smaller than a Clay sub-block (256 B).
+      for (const Bytes chunk : {Bytes{0}, 6_KB, Bytes{100}}) {
+        SCOPED_TRACE(std::string(erasure::family_name(family)) + " seed " +
+                     std::to_string(seed) + " chunk " +
+                     std::to_string(chunk));
+        auto cfg = readpath_config();
+        cfg.seed = seed;
+        cfg.codec_family = family;
+        // m = 4: with m = 2 a Hitchhiker data repair reads k blocks'
+        // worth, a whole-block plan that would take the chain.
+        if (family != erasure::CodecFamily::kRS) {
+          cfg.placement.code = CodeParams{10, 6};
+        }
+        // Alternate cache on/off across the sweep.
+        cfg.cache_bytes = (seed % 2 == 0) ? 64_MB : 0;
+        std::map<BlockId, std::vector<uint8_t>> originals;
+        StripeId stripe = kInvalidStripe;
+        auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
+        cfs->encode_stripe(stripe);
 
-          Rng rng(seed * 977 + static_cast<uint64_t>(lanes));
-          const std::vector<BlockId>& data =
-              cfs->stripe_meta(stripe).data_blocks;
-          const BlockId lost = data[static_cast<size_t>(
-              rng.uniform(static_cast<uint64_t>(data.size())))];
-          cfs->kill_node(cfs->block_locations(lost).at(0));
-          const Bytes whole =
-              static_cast<Bytes>(cfg.placement.code.k) * cfg.block_size;
-          if (family == erasure::CodecFamily::kRS) {
-            EXPECT_EQ(cfs->planned_repair_bytes(lost), whole);
-          } else {
-            EXPECT_LT(cfs->planned_repair_bytes(lost), whole)
-                << "expected a sub-block plan";
-          }
+        Rng rng(seed * 977);
+        const std::vector<BlockId>& data =
+            cfs->stripe_meta(stripe).data_blocks;
+        const BlockId lost = data[static_cast<size_t>(
+            rng.uniform(static_cast<uint64_t>(data.size())))];
+        cfs->kill_node(cfs->block_locations(lost).at(0));
+        const Bytes whole =
+            static_cast<Bytes>(cfg.placement.code.k) * cfg.block_size;
+        if (family == erasure::CodecFamily::kRS) {
+          EXPECT_EQ(cfs->planned_repair_bytes(lost), whole);
+        } else {
+          EXPECT_LT(cfs->planned_repair_bytes(lost), whole)
+              << "expected a sub-block plan";
+        }
 
-          for (const auto& [block, bytes] : originals) {
-            const NodeId reader = static_cast<NodeId>(rng.uniform(
-                static_cast<uint64_t>(cfs->topology().node_count())));
-            const auto got = cfs->read_block(block, reader);
-            ASSERT_EQ(got, bytes) << "block " << block;
-            // Second read (cache hit when enabled) must be identical too.
-            ASSERT_EQ(cfs->read_block(block, reader), bytes);
-          }
+        for (const auto& [block, bytes] : originals) {
+          const NodeId reader = static_cast<NodeId>(rng.uniform(
+              static_cast<uint64_t>(cfs->topology().node_count())));
+          const auto got = cfs->read_block(block, reader);
+          ASSERT_EQ(got, bytes) << "block " << block;
+          // Second read (cache hit when enabled) must be identical too.
+          ASSERT_EQ(cfs->read_block(block, reader), bytes);
         }
       }
     }
@@ -449,102 +444,117 @@ std::vector<Link> links_of(
   return links;
 }
 
-// Kills the holder of every data block of an encoded RS stripe in turn and
+// Kills the holder of every data block of an encoded stripe in turn and
 // reads it from several readers: every degraded read must send exactly one
 // block down each hop of a chain that visits each helper once, keeps each
 // rack's helpers together, puts the reader's rack last and ends at the
-// reader — chunked or one-shot.
+// reader — chunked or one-shot.  RS reads follow the codec's plan.  The
+// fallback input is Clay with a parity holder dead too: no plan exists
+// for two lost blocks, so the read decodes k whole blocks, and those ride
+// the same chain.
 TEST(DegradedChain, RsReadSendsOneBlockPerHopDownAChainToTheReader) {
   bool saw_rack_pair = false;
   bool saw_reader_rack_helper = false;
   bool saw_reader_helper = false;
-  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
-    for (const Bytes chunk : {Bytes{0}, 6_KB}) {
-      auto cfg = readpath_config();
-      cfg.seed = seed;
-      cfg.cache_bytes = 0;
-      cfg.placement.c = 2;  // up to two stripe blocks per rack
-      std::map<BlockId, std::vector<uint8_t>> originals;
-      StripeId stripe = kInvalidStripe;
-      auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
-      cfs->encode_stripe(stripe);
-      const Topology& topo = cfs->topology();
-      auto recorder = std::make_unique<RecordingTransport>(topo, chunk);
-      RecordingTransport* log = recorder.get();
-      cfs->set_transport(std::move(recorder));
+  for (const bool fallback : {false, true}) {
+    for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+      // Clay(8,6) sub-blocks are 1 KiB: 100 B chunks pipeline the fallback.
+      for (const Bytes chunk : {Bytes{0}, 6_KB, Bytes{100}}) {
+        auto cfg = readpath_config();
+        cfg.seed = seed;
+        cfg.cache_bytes = 0;
+        cfg.placement.c = 2;  // up to two stripe blocks per rack
+        if (fallback) cfg.codec_family = erasure::CodecFamily::kClay;
+        std::map<BlockId, std::vector<uint8_t>> originals;
+        StripeId stripe = kInvalidStripe;
+        auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
+        cfs->encode_stripe(stripe);
+        const Topology& topo = cfs->topology();
+        auto recorder = std::make_unique<RecordingTransport>(topo, chunk);
+        RecordingTransport* log = recorder.get();
+        cfs->set_transport(std::move(recorder));
 
-      const cfs::StripeMeta meta = cfs->stripe_meta(stripe);
-      std::vector<BlockId> stripe_blocks = meta.data_blocks;
-      stripe_blocks.insert(stripe_blocks.end(), meta.parity_blocks.begin(),
-                           meta.parity_blocks.end());
-      const int k = cfg.placement.code.k;
-      const int chunks =
-          datapath::ChunkPlan{cfg.block_size, chunk}.count();
-      const int node_count = topo.node_count();
-      for (int pos = 0; pos < k; ++pos) {
-        const BlockId victim = meta.data_blocks[static_cast<size_t>(pos)];
-        const NodeId holder = cfs->block_locations(victim).at(0);
-        // Nodes serving the stripe's other blocks: the possible helpers.
-        std::set<NodeId> holders;
-        for (const BlockId b : stripe_blocks) {
-          if (b == victim) continue;
-          for (const NodeId n : cfs->block_locations(b)) holders.insert(n);
-        }
-        const NodeId other_holder = cfs->block_locations(
-            meta.data_blocks[static_cast<size_t>((pos + 1) % k)]).at(0);
-        cfs->kill_node(holder);
-        for (const NodeId reader :
-             {(holder + 1) % node_count, (holder + node_count / 2) % node_count,
-              other_holder}) {
-          SCOPED_TRACE("seed " + std::to_string(seed) + " chunk " +
-                       std::to_string(chunk) + " pos " + std::to_string(pos) +
-                       " reader " + std::to_string(reader));
-          log->take();
-          ASSERT_EQ(cfs->read_block(victim, reader), originals.at(victim));
-          const std::vector<Link> links = links_of(log->take());
-          ASSERT_EQ(static_cast<int>(links.size()), k);
-          std::vector<NodeId> helpers;
-          for (size_t i = 0; i < links.size(); ++i) {
-            EXPECT_EQ(links[i].bytes, cfg.block_size) << "hop " << i;
-            EXPECT_EQ(links[i].transfers, chunks) << "hop " << i;
-            if (i + 1 < links.size()) {
-              EXPECT_EQ(links[i].dst, links[i + 1].src) << "hop " << i;
-            }
-            EXPECT_TRUE(holders.count(links[i].src)) << "hop " << i;
-            EXPECT_NE(links[i].src, holder);
-            helpers.push_back(links[i].src);
+        const cfs::StripeMeta meta = cfs->stripe_meta(stripe);
+        std::vector<BlockId> stripe_blocks = meta.data_blocks;
+        stripe_blocks.insert(stripe_blocks.end(), meta.parity_blocks.begin(),
+                             meta.parity_blocks.end());
+        const int k = cfg.placement.code.k;
+        const int chunks = datapath::ChunkPlan{
+            cfs->codec().sub_block_size(cfg.block_size), chunk}.count();
+        const int node_count = topo.node_count();
+        for (int pos = 0; pos < k; ++pos) {
+          const BlockId victim = meta.data_blocks[static_cast<size_t>(pos)];
+          const NodeId holder = cfs->block_locations(victim).at(0);
+          // Nodes serving the stripe's other blocks: the possible helpers.
+          std::set<NodeId> holders;
+          for (const BlockId b : stripe_blocks) {
+            if (b == victim) continue;
+            for (const NodeId n : cfs->block_locations(b)) holders.insert(n);
           }
-          EXPECT_EQ(links.back().dst, reader);
-          EXPECT_EQ(std::set<NodeId>(helpers.begin(), helpers.end()).size(),
-                    helpers.size())
-              << "a helper was visited twice";
+          const NodeId other_holder = cfs->block_locations(
+              meta.data_blocks[static_cast<size_t>((pos + 1) % k)]).at(0);
+          std::vector<NodeId> dead{holder};
+          if (fallback) {
+            dead.push_back(cfs->block_locations(meta.parity_blocks[0]).at(0));
+            ASSERT_NE(dead[1], holder);
+          }
+          for (const NodeId n : dead) cfs->kill_node(n);
+          EXPECT_EQ(cfs->planned_repair_bytes(victim), k * cfg.block_size);
+          for (const NodeId reader : {(holder + 1) % node_count,
+                                      (holder + node_count / 2) % node_count,
+                                      other_holder}) {
+            if (!cfs->node_alive(reader)) continue;
+            SCOPED_TRACE(std::string(fallback ? "fallback" : "plan") +
+                         " seed " + std::to_string(seed) + " chunk " +
+                         std::to_string(chunk) + " pos " + std::to_string(pos) +
+                         " reader " + std::to_string(reader));
+            log->take();
+            ASSERT_EQ(cfs->read_block(victim, reader), originals.at(victim));
+            const std::vector<Link> links = links_of(log->take());
+            ASSERT_EQ(static_cast<int>(links.size()), k);
+            std::vector<NodeId> helpers;
+            for (size_t i = 0; i < links.size(); ++i) {
+              EXPECT_EQ(links[i].bytes, cfg.block_size) << "hop " << i;
+              EXPECT_EQ(links[i].transfers, chunks) << "hop " << i;
+              if (i + 1 < links.size()) {
+                EXPECT_EQ(links[i].dst, links[i + 1].src) << "hop " << i;
+              }
+              EXPECT_TRUE(holders.count(links[i].src)) << "hop " << i;
+              EXPECT_TRUE(cfs->node_alive(links[i].src)) << "hop " << i;
+              helpers.push_back(links[i].src);
+            }
+            EXPECT_EQ(links.back().dst, reader);
+            EXPECT_EQ(std::set<NodeId>(helpers.begin(), helpers.end()).size(),
+                      helpers.size())
+                << "a helper was visited twice";
 
-          const RackId home = topo.rack_of(reader);
-          std::set<RackId> left;  // racks the chain has moved past
-          std::map<RackId, int> per_rack;
-          bool in_home = false;
-          for (size_t i = 0; i < helpers.size(); ++i) {
-            const RackId r = topo.rack_of(helpers[i]);
-            ++per_rack[r];
-            if (i > 0 && r != topo.rack_of(helpers[i - 1])) {
-              EXPECT_FALSE(left.count(r))
-                  << "rack " << r << " helpers are not next to each other";
-              left.insert(topo.rack_of(helpers[i - 1]));
+            const RackId home = topo.rack_of(reader);
+            std::set<RackId> left;  // racks the chain has moved past
+            std::map<RackId, int> per_rack;
+            bool in_home = false;
+            for (size_t i = 0; i < helpers.size(); ++i) {
+              const RackId r = topo.rack_of(helpers[i]);
+              ++per_rack[r];
+              if (i > 0 && r != topo.rack_of(helpers[i - 1])) {
+                EXPECT_FALSE(left.count(r))
+                    << "rack " << r << " helpers are not next to each other";
+                left.insert(topo.rack_of(helpers[i - 1]));
+              }
+              if (r == home) in_home = true;
+              EXPECT_TRUE(r == home || !in_home)
+                  << "a remote helper follows the reader's rack";
+              if (helpers[i] == reader) {
+                EXPECT_EQ(i + 1, helpers.size()) << "the reader is not last";
+                saw_reader_helper = true;
+              }
             }
-            if (r == home) in_home = true;
-            EXPECT_TRUE(r == home || !in_home)
-                << "a remote helper follows the reader's rack";
-            if (helpers[i] == reader) {
-              EXPECT_EQ(i + 1, helpers.size()) << "the reader is not last";
-              saw_reader_helper = true;
+            for (const auto& [rack, count] : per_rack) {
+              if (count >= 2) saw_rack_pair = true;
+              if (rack == home) saw_reader_rack_helper = true;
             }
           }
-          for (const auto& [rack, count] : per_rack) {
-            if (count >= 2) saw_rack_pair = true;
-            if (rack == home) saw_reader_rack_helper = true;
-          }
+          for (const NodeId n : dead) cfs->revive_node(n);
         }
-        cfs->revive_node(holder);
       }
     }
   }
