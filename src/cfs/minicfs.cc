@@ -324,7 +324,39 @@ datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
   }
   datapath::BlockBuffer rebuilt = degraded_read(block, reader);
   cache_fill(reader, block, rebuilt);
+  notify_rebuilt(block, reader, rebuilt);
   return rebuilt;
+}
+
+void MiniCfs::set_rebuild_listener(RebuildListener listener) {
+  std::unique_lock<std::mutex> lock(listener_mu_);
+  listener_ = listener ? std::make_shared<const RebuildListener>(
+                             std::move(listener))
+                       : nullptr;
+  listener_cv_.wait(lock, [this] { return listener_calls_ == 0; });
+}
+
+void MiniCfs::notify_rebuilt(BlockId block, NodeId holder,
+                             const datapath::BlockBuffer& bytes) {
+  // A repair reads through read_block too; its rebuild is already headed
+  // for a target and must not be adopted a second time.
+  if (qos::current_context().cls == qos::TrafficClass::kRepair) return;
+  std::shared_ptr<const RebuildListener> listener;
+  {
+    std::lock_guard<std::mutex> lock(listener_mu_);
+    if (!listener_) return;
+    listener = listener_;
+    ++listener_calls_;
+  }
+  // Counted down even if the listener throws, or clearing would hang.
+  struct CallDone {
+    MiniCfs* cfs;
+    ~CallDone() {
+      std::lock_guard<std::mutex> lock(cfs->listener_mu_);
+      if (--cfs->listener_calls_ == 0) cfs->listener_cv_.notify_all();
+    }
+  } done{this};
+  (*listener)(block, holder, bytes);
 }
 
 datapath::BlockBuffer MiniCfs::degraded_read(BlockId block, NodeId reader) {
@@ -815,21 +847,49 @@ void MiniCfs::repair_block(BlockId block, NodeId target) {
   span.arg("block", block);
   span.arg("target", target);
   ctr_repairs_->add();
-  datapath::BlockBuffer bytes = read_block(block, target);
-  store(target, block, std::move(bytes));
-  // Repair-rewrite: the block's servable locations change, so cached
-  // copies (including the one the read above just filled) are dropped and
-  // re-validated on next read.
+  // The cached copy the read fills is dropped again by register_copy.
+  register_copy(block, target, read_block(block, target));
+}
+
+bool MiniCfs::adopt_block(BlockId block, NodeId holder, NodeId target,
+                          datapath::BlockBuffer bytes) {
+  qos::OpScope op(qos::TrafficClass::kRepair);
+  obs::Span span("cfs.adopt_block", "cfs");
+  span.arg("block", block);
+  span.arg("target", target);
+  TransferScope in_flight(*this);
+  // Re-checked here, before any byte moves: a repair or a revival may have
+  // restored a copy since the rebuild.
+  const auto locs = ns_.find_locations(block);
+  if (!locs || std::any_of(locs->begin(), locs->end(), [this](NodeId n) {
+        return node_alive_[static_cast<size_t>(n)].load();
+      })) {
+    return false;
+  }
+  if (!node_alive_[static_cast<size_t>(holder)] ||
+      !node_alive_[static_cast<size_t>(target)]) {
+    throw std::runtime_error("adopt_block: block " + std::to_string(block) +
+                             " holder " + std::to_string(holder) +
+                             " or target " + std::to_string(target) +
+                             " is down");
+  }
+  if (holder != target) {
+    transport_->transfer(holder, target, config_.block_size);
+  }
+  register_copy(block, target, std::move(bytes));
+  return true;
+}
+
+void MiniCfs::register_copy(BlockId block, NodeId node,
+                            datapath::BlockBuffer bytes) {
+  store(node, block, std::move(bytes));
   cache_invalidate(block);
-  // Drop dead locations, add the repaired copy.
-  ns_.update_locations(block, [this, target](std::vector<NodeId>& locs) {
-    locs.erase(std::remove_if(locs.begin(), locs.end(),
-                              [this](NodeId n) {
-                                return !node_alive_[static_cast<size_t>(n)];
-                              }),
-               locs.end());
-    if (std::find(locs.begin(), locs.end(), target) == locs.end()) {
-      locs.push_back(target);
+  ns_.update_locations(block, [this, node](std::vector<NodeId>& locs) {
+    std::erase_if(locs, [this](NodeId n) {
+      return !node_alive_[static_cast<size_t>(n)];
+    });
+    if (std::find(locs.begin(), locs.end(), node) == locs.end()) {
+      locs.push_back(node);
     }
   });
 }

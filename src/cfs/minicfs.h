@@ -18,7 +18,9 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -168,6 +170,20 @@ class MiniCfs {
   // block is unrecoverable.
   datapath::BlockBuffer read_block(BlockId block, NodeId reader);
 
+  // Rebuild listener: one slot, called after a degraded read inside
+  // read_block reconstructed a whole lost block for `holder` (the reader),
+  // with the rebuilt bytes.  Never called for a kRepair-class read, so a
+  // repair's own reconstruction is not reported back to it.  Runs on the
+  // reader's thread, outside every MiniCfs lock; it must not throw or call
+  // set_rebuild_listener.  The RepairManager uses it to adopt rebuilt
+  // blocks it still has queued (failure/repair.h).
+  using RebuildListener = std::function<void(
+      BlockId block, NodeId holder, const datapath::BlockBuffer& bytes)>;
+  // Installs `listener`, or clears the slot when it is empty.  Returns once
+  // no call of the previous listener is still running, so its owner may be
+  // destroyed after clearing.
+  void set_rebuild_listener(RebuildListener listener);
+
   // ---- encoding (the RaidNode path uses these) ----------------------------
   std::vector<StripeId> sealed_stripes() const;
 
@@ -221,21 +237,39 @@ class MiniCfs {
   // registers the new location.
   void repair_block(BlockId block, NodeId target);
 
+  // Stores `bytes`, a copy of `block` a degraded read rebuilt on `holder`,
+  // at `target` and registers the new location: one block transfer when
+  // holder and target differ, none otherwise.  Returns false, moving
+  // nothing, when the block is unknown or already has a live copy.  Throws
+  // std::runtime_error when holder or target is down.
+  bool adopt_block(BlockId block, NodeId holder, NodeId target,
+                   datapath::BlockBuffer bytes);
+
   // Copies a block from a surviving replica onto `dst` and registers the new
   // location (pruning dead ones).  Throws std::runtime_error when no live
   // replica exists.
   void replicate_block(BlockId block, NodeId dst);
 
-  // Picks a repair destination uniformly at random (seeded RNG) among live
-  // nodes outside `exclude`, preferring racks not in `avoid_racks` and
-  // falling back to any live node.  Returns kInvalidNode when none is left.
-  NodeId pick_repair_target(const std::vector<NodeId>& exclude,
-                            const std::set<RackId>& avoid_racks) const;
+  // Where a candidate repair destination sits relative to `holders` (the
+  // nodes holding the copies or stripe siblings the new copy must not share
+  // a failure domain with), best first: in a rack holding none of them; in
+  // a rack holding one, but not a holder itself; or a holder.
+  enum class TargetTier { kFreeRack, kUsedRack, kHolder };
+  TargetTier target_tier(NodeId node, const std::set<NodeId>& holders) const;
 
-  // Racks currently holding a live copy of any block of `block`'s stripe
+  // Picks a repair destination uniformly at random (seeded RNG) among the
+  // live nodes outside `exclude` in the best non-empty TargetTier, with the
+  // nodes of `exclude` and `holders` as the holders.  Re-replication
+  // excludes the block's live copies; a lost stripe block passes its live
+  // siblings' nodes as `holders`, so it shares a node with a sibling only
+  // when no other live node is left.  Returns kInvalidNode when none is.
+  NodeId pick_repair_target(const std::vector<NodeId>& exclude,
+                            const std::set<NodeId>& holders = {}) const;
+
+  // Nodes currently holding a live copy of any block of `block`'s stripe
   // (rack-fault-tolerant repairs place the rebuilt block elsewhere).  Empty
   // when the block is not part of a known stripe.
-  std::set<RackId> live_stripe_racks(BlockId block) const;
+  std::set<NodeId> live_stripe_nodes(BlockId block) const;
 
   // Scans every block and restores redundancy after failures (HDFS's
   // ReplicationMonitor + RaidNode block-fixer roles):
@@ -301,6 +335,11 @@ class MiniCfs {
                                     size_t len) const;
   void erase(NodeId node, BlockId block);
 
+  // The one copy-registration path of repair, re-replication and adoption:
+  // stores `bytes` as `node`'s copy of `block`, drops cached copies (the
+  // servable locations change), prunes dead locations and adds `node`.
+  void register_copy(BlockId block, NodeId node, datapath::BlockBuffer bytes);
+
   // Registers a data-moving operation for set_transport's in-flight check.
   class TransferScope {
    public:
@@ -337,6 +376,9 @@ class MiniCfs {
   // fetched.
   datapath::BlockBuffer degraded_read(BlockId block, NodeId reader);
   datapath::BlockBuffer degraded_read_once(BlockId block, NodeId reader);
+  // Hands a foreground rebuild to the rebuild listener, if one is set.
+  void notify_rebuilt(BlockId block, NodeId holder,
+                      const datapath::BlockBuffer& bytes);
 
   CfsConfig config_;
   Topology topo_;
@@ -365,6 +407,13 @@ class MiniCfs {
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
   std::atomic<int64_t> encode_cross_rack_downloads_{0};
+
+  // The rebuild listener slot.  listener_calls_ counts callbacks running
+  // outside listener_mu_; clearing the slot waits for it to reach zero.
+  std::mutex listener_mu_;
+  std::condition_variable listener_cv_;
+  std::shared_ptr<const RebuildListener> listener_;
+  int listener_calls_ = 0;
 
   // Cached obs registry instruments (valid for the process lifetime).
   obs::Counter* ctr_blocks_written_;

@@ -20,28 +20,42 @@ NamespaceSnapshot MiniCfs::namespace_snapshot() const {
   return ns_.snapshot();
 }
 
+MiniCfs::TargetTier MiniCfs::target_tier(
+    NodeId node, const std::set<NodeId>& holders) const {
+  if (holders.count(node)) return TargetTier::kHolder;
+  const RackId rack = topo_.rack_of(node);
+  return std::any_of(holders.begin(), holders.end(),
+                     [&](NodeId h) { return topo_.rack_of(h) == rack; })
+             ? TargetTier::kUsedRack
+             : TargetTier::kFreeRack;
+}
+
 NodeId MiniCfs::pick_repair_target(const std::vector<NodeId>& exclude,
-                                   const std::set<RackId>& avoid_racks) const {
-  std::vector<NodeId> preferred, fallback;
+                                   const std::set<NodeId>& holders) const {
+  std::set<NodeId> all_holders = holders;
+  all_holders.insert(exclude.begin(), exclude.end());
+  std::vector<NodeId> tiers[3];
   for (NodeId n = 0; n < topo_.node_count(); ++n) {
     if (!node_alive_[static_cast<size_t>(n)]) continue;
     if (std::find(exclude.begin(), exclude.end(), n) != exclude.end()) {
       continue;
     }
-    (avoid_racks.count(topo_.rack_of(n)) ? fallback : preferred).push_back(n);
+    tiers[static_cast<int>(target_tier(n, all_holders))].push_back(n);
   }
-  const std::vector<NodeId>& pool = preferred.empty() ? fallback : preferred;
-  if (pool.empty()) return kInvalidNode;
-  std::lock_guard<std::mutex> lock(rng_mu_);
-  return pool[rng_.index(pool.size())];
+  for (const std::vector<NodeId>& pool : tiers) {
+    if (pool.empty()) continue;
+    std::lock_guard<std::mutex> lock(rng_mu_);
+    return pool[rng_.index(pool.size())];
+  }
+  return kInvalidNode;
 }
 
-std::set<RackId> MiniCfs::live_stripe_racks(BlockId block) const {
-  std::set<RackId> racks;
+std::set<NodeId> MiniCfs::live_stripe_nodes(BlockId block) const {
+  std::set<NodeId> nodes;
   const auto pos = ns_.find_block_stripe(block);
-  if (!pos) return racks;
+  if (!pos) return nodes;
   const auto meta = ns_.find_stripe(pos->first);
-  if (!meta) return racks;
+  if (!meta) return nodes;
   std::vector<BlockId> siblings = meta->data_blocks;
   siblings.insert(siblings.end(), meta->parity_blocks.begin(),
                   meta->parity_blocks.end());
@@ -50,12 +64,10 @@ std::set<RackId> MiniCfs::live_stripe_racks(BlockId block) const {
     const auto locs = ns_.find_locations(sibling);
     if (!locs) continue;
     for (const NodeId n : *locs) {
-      if (node_alive_[static_cast<size_t>(n)]) {
-        racks.insert(topo_.rack_of(n));
-      }
+      if (node_alive_[static_cast<size_t>(n)]) nodes.insert(n);
     }
   }
-  return racks;
+  return nodes;
 }
 
 void MiniCfs::replicate_block(BlockId block, NodeId dst) {
@@ -72,22 +84,7 @@ void MiniCfs::replicate_block(BlockId block, NodeId dst) {
   }
   const NodeId src = pick_source(live, dst, /*count=*/false);
   transport_->transfer(src, dst, config_.block_size);
-  store(dst, block, fetch(src, block));
-  // Recovery rewrite: servable locations change, so cached copies are
-  // dropped and re-validated on next read (same rule as repair_block).
-  cache_invalidate(block);
-  ns_.update_locations(block, [this, dst](std::vector<NodeId>& registered) {
-    registered.erase(
-        std::remove_if(registered.begin(), registered.end(),
-                       [this](NodeId n) {
-                         return !node_alive_[static_cast<size_t>(n)];
-                       }),
-        registered.end());
-    if (std::find(registered.begin(), registered.end(), dst) ==
-        registered.end()) {
-      registered.push_back(dst);
-    }
-  });
+  register_copy(block, dst, fetch(src, block));
 }
 
 MiniCfs::RecoveryReport MiniCfs::restore_redundancy() {
@@ -116,8 +113,9 @@ MiniCfs::RecoveryReport MiniCfs::restore_redundancy() {
         continue;
       }
       // Rebuild via erasure decoding onto a fresh live node picked uniformly
-      // at random, preferring a rack holding no other block of the stripe.
-      std::set<RackId> used_racks;
+      // at random, preferring a rack holding no other block of the stripe,
+      // then a node holding none.
+      std::set<NodeId> holders;
       const StripeMeta& meta = snap.stripes.at(status.stripe);
       std::vector<BlockId> siblings = meta.data_blocks;
       siblings.insert(siblings.end(), meta.parity_blocks.begin(),
@@ -126,12 +124,10 @@ MiniCfs::RecoveryReport MiniCfs::restore_redundancy() {
         const auto it = snap.blocks.find(sibling);
         if (it == snap.blocks.end()) continue;
         for (const NodeId n : it->second.locations) {
-          if (node_alive_[static_cast<size_t>(n)]) {
-            used_racks.insert(topo_.rack_of(n));
-          }
+          if (node_alive_[static_cast<size_t>(n)]) holders.insert(n);
         }
       }
-      const NodeId target_node = pick_repair_target({}, used_racks);
+      const NodeId target_node = pick_repair_target({}, holders);
       if (target_node == kInvalidNode) {
         ++report.unrecoverable;
         continue;
@@ -148,9 +144,7 @@ MiniCfs::RecoveryReport MiniCfs::restore_redundancy() {
     // Under-replicated: copy from a live replica onto fresh nodes picked
     // uniformly at random, preferring racks not already holding a copy.
     while (static_cast<int>(live.size()) < target) {
-      std::set<RackId> used;
-      for (const NodeId n : live) used.insert(topo_.rack_of(n));
-      const NodeId dst = pick_repair_target(live, used);
+      const NodeId dst = pick_repair_target(live);
       if (dst == kInvalidNode) break;  // cluster too degraded to reach r
       replicate_block(block, dst);
       live.push_back(dst);

@@ -1,6 +1,7 @@
 #include "failure/repair.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -12,6 +13,7 @@ namespace ear::failure {
 
 using Clock = std::chrono::steady_clock;
 
+
 RepairManager::RepairManager(cfs::MiniCfs& cfs, const RepairConfig& config)
     : cfs_(&cfs),
       config_(config),
@@ -19,6 +21,7 @@ RepairManager::RepairManager(cfs::MiniCfs& cfs, const RepairConfig& config)
       gauge_queue_depth_(
           &obs::Registry::instance().gauge("repair.queue_depth")),
       ctr_repaired_(&obs::Registry::instance().counter("repair.blocks_repaired")),
+      ctr_adopted_(&obs::Registry::instance().counter("repair.blocks_adopted")),
       ctr_re_replicated_(
           &obs::Registry::instance().counter("repair.blocks_re_replicated")),
       ctr_unrecoverable_(
@@ -69,7 +72,7 @@ int RepairManager::compute_priority(const cfs::BlockStatus& status,
 }
 
 void RepairManager::push_task(Task task) {
-  if (queued_.insert(task.block).second) {
+  if (queued_.emplace(task.block, task.priority).second) {
     queue_.emplace(task.priority, task.block);
   }
   attempts_[task.block] = task.attempts;
@@ -194,8 +197,8 @@ RepairManager::Outcome RepairManager::attempt(const Task& task,
   const Bytes block_size = cfs_->config().block_size;
   if (live.empty()) {
     if (!encoded) return Outcome::kRetry;  // only a revival can save it
-    const std::set<RackId> avoid = cfs_->live_stripe_racks(block);
-    const NodeId dst = cfs_->pick_repair_target({}, avoid);
+    const NodeId dst =
+        cfs_->pick_repair_target({}, cfs_->live_stripe_nodes(block));
     if (dst == kInvalidNode) return Outcome::kRetry;
     // Per-codec repair traffic: the codec's cheapest plan for the live
     // helper set (sub-block ranges for Clay/Hitchhiker, a local group for
@@ -218,9 +221,7 @@ RepairManager::Outcome RepairManager::attempt(const Task& task,
 
   // Under-replicated: add copies until the target, avoiding used racks.
   while (static_cast<int>(live.size()) < target) {
-    std::set<RackId> used;
-    for (const NodeId n : live) used.insert(cfs_->topology().rack_of(n));
-    const NodeId dst = cfs_->pick_repair_target(live, used);
+    const NodeId dst = cfs_->pick_repair_target(live);
     if (dst == kInvalidNode) return Outcome::kRetry;
     throttle(block_size, live_mode);
     try {
@@ -238,11 +239,75 @@ RepairManager::Outcome RepairManager::attempt(const Task& task,
   return Outcome::kDone;
 }
 
+void RepairManager::on_rebuilt(BlockId block, NodeId holder,
+                               const datapath::BlockBuffer& bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!running_ || stop_) return;
+  // Only a queued task is swapped; one already in flight runs its own
+  // reconstruction.
+  const auto it = queued_.find(block);
+  if (it == queued_.end()) return;
+  Task task{it->second, block, 0};
+  queue_.erase({task.priority, block});
+  queued_.erase(it);
+  const auto at = attempts_.find(block);
+  if (at != attempts_.end()) {
+    task.attempts = at->second;
+    attempts_.erase(at);
+  }
+  gauge_queue_depth_->set(static_cast<double>(queue_.size()));
+  adoptions_.push_back({task, holder, bytes});
+  pump_locked();
+}
+
+RepairManager::Outcome RepairManager::adopt(const Adoption& adoption) {
+  qos::QosScope qscope(qos::TrafficClass::kRepair, 0);
+  const BlockId block = adoption.task.block;
+  obs::Span span("repair.adopt", "failure");
+  span.arg("block", block);
+  span.arg("holder", adoption.holder);
+
+  // The target a repair of this block would draw; the holder stands in for
+  // it when both sit in the same tier, and then no byte moves.
+  const std::set<NodeId> holders = cfs_->live_stripe_nodes(block);
+  NodeId dst = cfs_->pick_repair_target({}, holders);
+  if (dst == kInvalidNode || !cfs_->node_alive(adoption.holder)) {
+    return Outcome::kRequeue;
+  }
+  if (cfs_->target_tier(adoption.holder, holders) ==
+      cfs_->target_tier(dst, holders)) {
+    dst = adoption.holder;
+  }
+  const Bytes moved =
+      dst == adoption.holder ? 0 : cfs_->config().block_size;
+  throttle(moved, /*live_mode=*/true);
+  try {
+    if (!cfs_->adopt_block(block, adoption.holder, dst, adoption.bytes)) {
+      return Outcome::kNoop;
+    }
+  } catch (const std::runtime_error&) {
+    return Outcome::kRequeue;
+  }
+  ctr_repaired_->add();
+  ctr_adopted_->add();
+  ctr_bytes_->add(moved);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++report_.repaired;
+  ++report_.adopted;
+  report_.bytes_moved += moved;
+  return Outcome::kDone;
+}
+
 void RepairManager::finish(const Task& task, Outcome outcome,
                            bool live_mode) {
   switch (outcome) {
     case Outcome::kDone:
       return;
+    case Outcome::kRequeue: {
+      std::lock_guard<std::mutex> lock(mu_);
+      push_task(task);
+      return;
+    }
     case Outcome::kNoop: {
       std::lock_guard<std::mutex> lock(mu_);
       ++report_.noop;
@@ -281,8 +346,8 @@ void RepairManager::finish(const Task& task, Outcome outcome,
 
 void RepairManager::pump_locked() {
   if (!running_ || stop_) return;
-  const int wanted = std::min<int>(config_.workers,
-                                   static_cast<int>(queue_.size()));
+  const int wanted = std::min<int>(
+      config_.workers, static_cast<int>(queue_.size() + adoptions_.size()));
   while (drainers_ < wanted) {
     ++drainers_;
     datapath::WorkerPool::shared().submit([this] { drainer_loop(); });
@@ -297,9 +362,14 @@ void RepairManager::pump_locked() {
 void RepairManager::drainer_loop() {
   while (true) {
     Task task;
+    std::optional<Adoption> adoption;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stop_ || !running_ || !pop_task(&task)) {
+      if (!stop_ && running_ && !adoptions_.empty()) {
+        adoption = std::move(adoptions_.front());
+        adoptions_.pop_front();
+        task = adoption->task;
+      } else if (stop_ || !running_ || !pop_task(&task)) {
         --drainers_;
         if (drainers_ == 0) idle_cv_.notify_all();
         return;
@@ -307,36 +377,56 @@ void RepairManager::drainer_loop() {
       ++active_;
     }
     if (config_.on_task) config_.on_task(task.block, task.priority);
-    const Outcome outcome = attempt(task, /*live_mode=*/true);
+    const Outcome outcome =
+        adoption ? adopt(*adoption) : attempt(task, /*live_mode=*/true);
     finish(task, outcome, /*live_mode=*/true);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+      if (idle_locked()) idle_cv_.notify_all();
     }
   }
 }
 
+bool RepairManager::idle_locked() const {
+  return queue_.empty() && adoptions_.empty() && active_ == 0;
+}
+
 void RepairManager::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stop_ = false;
-  running_ = true;
-  pump_locked();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = false;
+    running_ = true;
+    pump_locked();
+  }
+  cfs_->set_rebuild_listener(
+      [this](BlockId block, NodeId holder, const datapath::BlockBuffer& bytes) {
+        on_rebuilt(block, holder, bytes);
+      });
+  listening_ = true;
 }
 
 void RepairManager::stop() {
+  // Cleared before taking mu_: a running callback holds the listener slot
+  // while it waits for mu_.
+  if (listening_) {
+    cfs_->set_rebuild_listener(nullptr);
+    listening_ = false;
+  }
   std::unique_lock<std::mutex> lock(mu_);
   stop_ = true;  // stays set until the next start(); wait_idle() unblocks
   running_ = false;
   cv_.notify_all();  // wake retry-backoff waits
   idle_cv_.notify_all();
   idle_cv_.wait(lock, [this] { return drainers_ == 0; });
+  for (; !adoptions_.empty(); adoptions_.pop_front()) {
+    push_task(adoptions_.front().task);
+  }
 }
 
 void RepairManager::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock,
-                [this] { return (queue_.empty() && active_ == 0) || stop_; });
+  idle_cv_.wait(lock, [this] { return idle_locked() || stop_; });
 }
 
 RepairManager::Report RepairManager::drain() {
@@ -355,6 +445,7 @@ RepairManager::Report RepairManager::drain() {
   Report delta;
   delta.re_replicated = after.re_replicated - before.re_replicated;
   delta.repaired = after.repaired - before.repaired;
+  delta.adopted = after.adopted - before.adopted;
   delta.unrecoverable = after.unrecoverable - before.unrecoverable;
   delta.noop = after.noop - before.noop;
   delta.retries = after.retries - before.retries;
@@ -369,7 +460,7 @@ RepairManager::Report RepairManager::report() const {
 
 size_t RepairManager::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return queue_.size() + adoptions_.size();
 }
 
 }  // namespace ear::failure

@@ -18,7 +18,7 @@ namespace ear::store {
 
 namespace {
 
-constexpr char kStoreMagic[8] = {'E', 'A', 'R', 'S', 'T', 'O', 'R', '1'};
+constexpr char kStoreMagic[8] = {'E', 'A', 'R', 'S', 'T', 'O', 'R', '2'};
 constexpr uint32_t kRecordMarker = 0x4D524145u;  // "EARM" little-endian
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordErase = 2;
@@ -78,6 +78,15 @@ void pwrite_all(int fd, const uint8_t* data, size_t len, uint64_t offset,
   }
 }
 
+// A record's payload_crc: the CRC-32 of the block id (u64 little-endian)
+// followed by the payload, so a record only ever vouches for bytes that
+// were written as its own block.
+uint32_t payload_crc(BlockId block, const uint8_t* data, size_t len) {
+  uint8_t id[8];
+  put_le64(id, static_cast<uint64_t>(block));
+  return crc32(data, len, crc32(id, sizeof(id)));
+}
+
 uint64_t file_size(int fd, const char* what) {
   struct stat st;
   if (::fstat(fd, &st) != 0) throw_errno(std::string("fstat ") + what);
@@ -103,13 +112,22 @@ MmapBlockStore::MmapBlockStore(const std::string& dir,
   }
   dir_fd_ = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd_ < 0) throw_errno("open " + dir_);
-  replay(options);
+  try {
+    replay(options);
+  } catch (...) {
+    close_fds();  // no destructor runs for a constructor that throws
+    throw;
+  }
 }
 
 MmapBlockStore::~MmapBlockStore() {
+  std::lock_guard<std::mutex> lock(mu_);
+  close_fds();
+}
+
+void MmapBlockStore::close_fds() {
   // Mappings are released by their shared_ptrs (outstanding BlockBuffer
   // views keep theirs alive); fds can close now — mmap survives close(2).
-  std::lock_guard<std::mutex> lock(mu_);
   for (Segment& seg : segments_) {
     if (seg.fd >= 0) ::close(seg.fd);
   }
@@ -178,9 +196,17 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
     throw std::runtime_error("not an EAR block store: " + manifest_path);
   }
 
+  // Segment files are created in contiguous id order, so a record may name
+  // one of them or the next one to be written, never anything beyond.
+  uint32_t present = 0;
+  while (std::filesystem::exists(segment_path(present))) ++present;
+
   // Sequential scan; the first short / unmarked / CRC-failing record is a
   // torn tail from a crash mid-commit — everything before it is the
-  // committed prefix, everything from it on is discarded.
+  // committed prefix, everything from it on is discarded.  A record that
+  // passes its CRC but holds values no commit writes (an unknown type, a
+  // segment past `present`, an extent whose end overflows) is treated the
+  // same way, before anything is sized or created from it.
   std::vector<uint64_t> watermark;  // per-segment payload high water
   uint64_t pos = kHeaderSize;
   while (pos + kRecordSize <= size) {
@@ -196,9 +222,11 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
     extent.length = get_le64(rec + 32);
     extent.payload_crc = get_le32(rec + 40);
     if (type == kRecordPut) {
-      const auto [it, inserted] = index_.insert_or_assign(block, extent);
-      (void)it;
-      (void)inserted;
+      if (extent.segment > present ||
+          extent.length > UINT64_MAX - extent.offset) {
+        break;
+      }
+      index_.insert_or_assign(block, extent);
       if (extent.length > 0) {
         if (watermark.size() <= extent.segment) {
           watermark.resize(extent.segment + 1, 0);
@@ -209,7 +237,7 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
     } else if (type == kRecordErase) {
       index_.erase(block);
     } else {
-      break;  // unknown type: treat as torn
+      break;
     }
     ++open_report_.records_replayed;
     pos += kRecordSize;
@@ -223,10 +251,10 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
   }
   manifest_size_ = static_cast<int64_t>(pos);
 
-  // Open every segment file on disk (they are created in contiguous id
-  // order); reconcile physical sizes with the replayed watermarks.
-  uint32_t seg_count = static_cast<uint32_t>(watermark.size());
-  while (std::filesystem::exists(segment_path(seg_count))) ++seg_count;
+  // Open every segment file on disk; reconcile physical sizes with the
+  // replayed watermarks.
+  const uint32_t seg_count =
+      std::max(present, static_cast<uint32_t>(watermark.size()));
   segments_.resize(seg_count);
   for (uint32_t s = 0; s < seg_count; ++s) {
     if (!std::filesystem::exists(segment_path(s))) {
@@ -247,7 +275,10 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
       open_report_.segment_bytes_truncated +=
           static_cast<int64_t>(physical - committed);
     }
-    segments_[s].size = committed;
+    // A record pointing past the end of the file (media damage or a
+    // hand-edited manifest) must not grow the mapping beyond the bytes that
+    // exist: its extent is dropped by the bounds check below.
+    segments_[s].size = std::min(physical, committed);
   }
 
   // Validate surviving extents: bounds always, payload CRC when asked.
@@ -259,11 +290,14 @@ void MmapBlockStore::replay(const MmapStoreOptions& options) {
               (extent.segment < segments_.size() &&
                extent.offset + extent.length <=
                    segments_[extent.segment].size);
-    if (ok && options.verify_on_open && extent.length > 0) {
-      const auto mapping = mapping_for(extent.segment,
-                                       extent.offset + extent.length);
-      ok = crc32(mapping->base + extent.offset, extent.length) ==
-           extent.payload_crc;
+    if (ok && options.verify_on_open) {
+      const uint8_t* data = nullptr;
+      std::shared_ptr<Mapping> mapping;
+      if (extent.length > 0) {
+        mapping = mapping_for(extent.segment, extent.offset + extent.length);
+        data = mapping->base + extent.offset;
+      }
+      ok = payload_crc(it->first, data, extent.length) == extent.payload_crc;
     }
     if (!ok) {
       ++open_report_.corrupt_blocks_dropped;
@@ -319,7 +353,7 @@ void MmapBlockStore::put(BlockId block, datapath::BlockBuffer bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   Extent extent;
   extent.length = bytes.size();
-  extent.payload_crc = bytes.empty() ? 0 : crc32(bytes.data(), bytes.size());
+  extent.payload_crc = payload_crc(block, bytes.data(), bytes.size());
   if (!bytes.empty()) {
     // Roll to a fresh segment when the current one is full (never split a
     // block across segments).

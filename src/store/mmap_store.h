@@ -6,14 +6,15 @@
 //   seg-000000.dat    payload segments, append-only
 //   seg-000001.dat    ...
 //
-// The manifest starts with the 8-byte magic "EARSTOR1" followed by
+// The manifest starts with the 8-byte magic "EARSTOR2" followed by
 // fixed-size 48-byte records:
 //
 //   u32 marker 'EARM' | u32 type (1=PUT 2=ERASE) | u64 block | u32 segment |
 //   u32 reserved | u64 offset | u64 length | u32 payload_crc | u32 record_crc
 //
 // record_crc covers the first 44 bytes; payload_crc is the CRC-32 of the
-// block bytes the record points at (0 for ERASE).
+// block id (u64 little-endian) followed by the block bytes the record
+// points at (0 for ERASE), so a PUT can only vouch for its own block.
 //
 // Commit protocol (SyncPolicy::kEveryCommit, the default):
 //   1. append the payload to the current segment, fdatasync(segment)
@@ -25,11 +26,15 @@
 //
 // Replay-on-open scans the manifest sequentially and stops at the first
 // record that is short, has a bad marker, or fails record_crc — a torn tail
-// from a crash mid-commit — truncating the manifest there.  Segment bytes
+// from a crash mid-commit — truncating the manifest there.  A record with
+// a valid CRC but an unknown type, a segment beyond the files present plus
+// the next one, or an extent end that overflows is treated as torn too, so
+// a hostile manifest can neither size allocations nor create files.  Segment bytes
 // beyond the highest replayed extent (payload written but record lost) are
-// truncated too.  With verify_on_open, every surviving block's payload CRC
-// is checked and corrupt blocks are dropped from the index; open_report()
-// says what replay found.
+// truncated too; an extent past a segment's end is dropped.  With
+// verify_on_open, every surviving block's payload CRC is checked and
+// corrupt blocks are dropped from the index; open_report() says what replay
+// found.
 //
 // get() hands out a zero-copy BlockBuffer view of the mmap'd segment
 // (BlockBuffer::view_of): the view's shared_ptr keeps the mapping alive, so
@@ -144,6 +149,7 @@ class MmapBlockStore final : public BlockStore {
   void sync_dir() const;
   void append_record(uint8_t type, BlockId block, const Extent& extent);
   void sync_fd(int fd, const char* what) const;
+  void close_fds();
 
   const std::string dir_;
   MmapStoreOptions options_;

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -23,6 +27,7 @@
 #include "failure/process.h"
 #include "failure/reliability.h"
 #include "failure/repair.h"
+#include "qos/qos.h"
 #include "sim/engine.h"
 
 namespace ear::failure {
@@ -417,6 +422,348 @@ TEST(RepairManager, LiveWorkersMatchDrainSemantics) {
   }
 }
 
+// ---- adopting foreground rebuilds -----------------------------------------
+
+// Moves bytes in zero time, like InstantTransport, and counts the bytes of
+// every transfer between distinct nodes by the traffic class of the thread
+// that moved them.
+class ClassMeter final : public cfs::Transport {
+ public:
+  explicit ClassMeter(const Topology& topo) : inner_(topo) {}
+
+  void transfer(NodeId src, NodeId dst, Bytes size) override {
+    if (src != dst) {
+      bytes_[static_cast<size_t>(qos::current_context().cls)] += size;
+    }
+    inner_.transfer(src, dst, size);
+  }
+  int64_t cross_rack_bytes() const override {
+    return inner_.cross_rack_bytes();
+  }
+  int64_t intra_rack_bytes() const override {
+    return inner_.intra_rack_bytes();
+  }
+
+  int64_t bytes(qos::TrafficClass cls) const {
+    return bytes_[static_cast<size_t>(cls)].load();
+  }
+
+ private:
+  cfs::InstantTransport inner_;
+  std::array<std::atomic<int64_t>, qos::kClassCount> bytes_{};
+};
+
+// Six encoded RS(8,6) stripes with the busiest node killed.  `lost` lists
+// the encoded blocks it held (data and parity, one copy each, at most one
+// per stripe); its replicated blocks, from stripes still assembling, are
+// under-replicated.  `payloads` holds the bytes of every data block and of
+// every lost parity block.
+struct LostNode {
+  std::unique_ptr<cfs::MiniCfs> cfs;
+  ClassMeter* meter = nullptr;
+  std::map<BlockId, std::vector<uint8_t>> payloads;
+  NodeId victim = kInvalidNode;
+  std::vector<BlockId> lost;
+  int64_t replicated = 0;
+
+  // A live node other than the victim holding no block of `block`'s stripe.
+  NodeId outsider(BlockId block) const {
+    const std::set<NodeId> holders = cfs->live_stripe_nodes(block);
+    for (NodeId n = 0; n < cfs->topology().node_count(); ++n) {
+      if (cfs->node_alive(n) && holders.count(n) == 0) return n;
+    }
+    return kInvalidNode;
+  }
+};
+
+LostNode lose_busiest_node() {
+  LostNode c;
+  const cfs::CfsConfig cfg = small_config();
+  auto meter =
+      std::make_unique<ClassMeter>(Topology(cfg.racks, cfg.nodes_per_rack));
+  c.meter = meter.get();
+  c.cfs = std::make_unique<cfs::MiniCfs>(cfg, std::move(meter));
+  c.payloads = load_stripes(*c.cfs, 6);
+  for (const StripeId s : c.cfs->sealed_stripes()) c.cfs->encode_stripe(s);
+  c.victim = 0;
+  for (NodeId n = 1; n < c.cfs->topology().node_count(); ++n) {
+    if (c.cfs->blocks_stored_on(n) > c.cfs->blocks_stored_on(c.victim)) {
+      c.victim = n;
+    }
+  }
+  for (const BlockId b : c.cfs->all_blocks()) {
+    const auto locs = c.cfs->block_locations(b);
+    if (std::find(locs.begin(), locs.end(), c.victim) == locs.end()) continue;
+    if (!c.cfs->is_block_encoded(b)) {
+      ++c.replicated;
+      continue;
+    }
+    c.lost.push_back(b);
+    const auto bytes = c.cfs->read_block(b, c.victim);
+    c.payloads[b].assign(bytes.data(), bytes.data() + bytes.size());
+  }
+  c.cfs->kill_node(c.victim);
+  return c;
+}
+
+// A RepairConfig::on_task hook that parks the first task until release(),
+// so a one-worker manager keeps every other task queued meanwhile.
+class Park {
+ public:
+  std::function<void(BlockId, int)> hook() {
+    return [this](BlockId block, int) {
+      std::unique_lock<std::mutex> lock(mu_);
+      tasks_.push_back(block);
+      if (tasks_.size() > 1) return;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    };
+  }
+  // Waits for the first task and returns its block.
+  BlockId parked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !tasks_.empty(); });
+    return tasks_.front();
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  int runs_of(BlockId block) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int>(std::count(tasks_.begin(), tasks_.end(), block));
+  }
+
+  // Releases the park when a test leaves early, before the manager's
+  // destructor waits for the parked drainer.  Declare after the manager.
+  struct ReleaseOnExit {
+    Park* park;
+    ~ReleaseOnExit() { park->release(); }
+  };
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<BlockId> tasks_;
+  bool released_ = false;
+};
+
+bool has_live_copy(const cfs::MiniCfs& cfs, BlockId block) {
+  const auto locs = cfs.block_locations(block);
+  return std::any_of(locs.begin(), locs.end(),
+                     [&cfs](NodeId n) { return cfs.node_alive(n); });
+}
+
+TEST(RepairAdoption, ForegroundRebuildOfQueuedBlockIsAdopted) {
+  LostNode c = lose_busiest_node();
+  ASSERT_GE(c.lost.size(), 2u);
+  Park park;
+  RepairConfig rcfg;
+  rcfg.workers = 1;
+  rcfg.on_task = park.hook();
+  RepairManager repair(*c.cfs, rcfg);
+  const Park::ReleaseOnExit release{&park};
+  repair.start();
+  const int tasks = repair.schedule_node(c.victim);
+  ASSERT_EQ(tasks, static_cast<int>(c.lost.size() + c.replicated));
+  const BlockId parked = park.parked();
+  const BlockId block = c.lost[0] == parked ? c.lost[1] : c.lost[0];
+
+  // A foreground degraded read rebuilds the block while its task waits.
+  const NodeId reader = c.outsider(block);
+  ASSERT_NE(reader, kInvalidNode);
+  const int64_t repair_bytes0 = c.meter->bytes(qos::TrafficClass::kRepair);
+  EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+  EXPECT_EQ(repair.queue_depth(), static_cast<size_t>(tasks - 1));
+  park.release();
+  repair.wait_idle();
+  repair.stop();
+
+  const auto report = repair.report();
+  EXPECT_EQ(report.adopted, 1);
+  EXPECT_EQ(report.repaired, static_cast<int64_t>(c.lost.size()));
+  EXPECT_EQ(report.re_replicated, c.replicated);
+  EXPECT_EQ(report.noop, 0);
+  EXPECT_EQ(report.unrecoverable, 0);
+  EXPECT_EQ(park.runs_of(block), 1);
+  // Every other lost block was decoded from k = 6 whole blocks and every
+  // replicated one copied once; the adopted one moved at most one copy, and
+  // no decode of it ran.
+  const Bytes bs = c.cfs->config().block_size;
+  const int64_t others =
+      static_cast<int64_t>(c.lost.size() - 1) * 6 * bs + c.replicated * bs;
+  EXPECT_LE(report.bytes_moved, others + bs);
+  EXPECT_LE(c.meter->bytes(qos::TrafficClass::kRepair) - repair_bytes0,
+            others + bs);
+
+  // The copy sits at a valid target: live, in a rack holding no sibling
+  // (the cluster has such racks), and it holds the written bytes.
+  const auto locs = c.cfs->block_locations(block);
+  ASSERT_EQ(locs.size(), 1u);
+  EXPECT_TRUE(c.cfs->node_alive(locs[0]));
+  const cfs::StripeMeta meta = c.cfs->stripe_meta(
+      c.cfs->namespace_snapshot().blocks.at(block).stripe);
+  for (const auto* ids : {&meta.data_blocks, &meta.parity_blocks}) {
+    for (const BlockId sibling : *ids) {
+      if (sibling == block) continue;
+      for (const NodeId n : c.cfs->block_locations(sibling)) {
+        EXPECT_NE(c.cfs->topology().rack_of(n),
+                  c.cfs->topology().rack_of(locs[0]))
+            << "sibling " << sibling << " on node " << n;
+      }
+    }
+  }
+  EXPECT_EQ(c.cfs->read_block(block, locs[0]), c.payloads.at(block));
+}
+
+TEST(RepairAdoption, IdleManagerAndRepairReadsNeverAdopt) {
+  LostNode c = lose_busiest_node();
+  ASSERT_FALSE(c.lost.empty());
+  const BlockId block = c.lost.front();
+  const NodeId reader = c.outsider(block);
+  ASSERT_NE(reader, kInvalidNode);
+
+  // With no manager running, every read rebuilds the block again and it
+  // stays lost.
+  RepairManager idle(*c.cfs, RepairConfig{});
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+    EXPECT_FALSE(has_live_copy(*c.cfs, block));
+  }
+  const int tasks = idle.schedule_node(c.victim);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+  }
+  EXPECT_FALSE(has_live_copy(*c.cfs, block));
+  EXPECT_EQ(idle.queue_depth(), static_cast<size_t>(tasks));
+
+  // Only foreground rebuilds reach the listener: neither a kRepair-class
+  // read nor the repairs drain() runs.
+  std::atomic<int> calls{0};
+  c.cfs->set_rebuild_listener(
+      [&calls](BlockId, NodeId, const datapath::BlockBuffer&) { ++calls; });
+  {
+    qos::QosScope scope(qos::TrafficClass::kRepair, 0);
+    EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+  }
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+  EXPECT_EQ(calls.load(), 1);
+  const auto report = idle.drain();
+  c.cfs->set_rebuild_listener(nullptr);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(report.adopted, 0);
+  EXPECT_EQ(report.repaired, static_cast<int64_t>(c.lost.size()));
+  EXPECT_TRUE(has_live_copy(*c.cfs, block));
+}
+
+TEST(RepairAdoption, HolderDeathRequeuesTheTask) {
+  LostNode c = lose_busiest_node();
+  ASSERT_GE(c.lost.size(), 2u);
+  Park park;
+  RepairConfig rcfg;
+  rcfg.workers = 1;
+  rcfg.on_task = park.hook();
+  RepairManager repair(*c.cfs, rcfg);
+  const Park::ReleaseOnExit release{&park};
+  repair.start();
+  repair.schedule_node(c.victim);
+  const BlockId parked = park.parked();
+  const BlockId block = c.lost[0] == parked ? c.lost[1] : c.lost[0];
+
+  // The reader rebuilds the block, then dies before its adoption runs: the
+  // original task goes back to the queue and decodes the block instead.
+  const NodeId reader = c.outsider(block);
+  ASSERT_NE(reader, kInvalidNode);
+  EXPECT_EQ(c.cfs->read_block(block, reader), c.payloads.at(block));
+  c.cfs->kill_node(reader);
+  park.release();
+  repair.wait_idle();
+  repair.stop();
+
+  const auto report = repair.report();
+  EXPECT_EQ(report.adopted, 0);
+  EXPECT_EQ(report.repaired, static_cast<int64_t>(c.lost.size()));
+  EXPECT_EQ(report.retries, 0);
+  EXPECT_EQ(report.unrecoverable, 0);
+  EXPECT_EQ(park.runs_of(block), 2);  // the adoption, then the task
+  const auto locs = c.cfs->block_locations(block);
+  ASSERT_EQ(locs.size(), 1u);
+  EXPECT_NE(locs[0], reader);
+  EXPECT_TRUE(c.cfs->node_alive(locs[0]));
+  EXPECT_EQ(c.cfs->read_block(block, locs[0]), c.payloads.at(block));
+}
+
+TEST(RepairAdoption, ReadersRacingDrainersStayCorrect) {
+  // Throttled links and a repair budget keep the restore slow enough that
+  // readers rebuild queued blocks while two drainers decode others and
+  // adopt what the readers rebuilt.  Every read returns the written bytes,
+  // and every lost block is restored exactly once.
+  LostNode c = lose_busiest_node();
+  ASSERT_FALSE(c.lost.empty());
+  const Topology& topo = c.cfs->topology();
+  cfs::ThrottleConfig throttle;
+  throttle.node_bw = 40e6;
+  throttle.rack_uplink_bw = 40e6;
+  throttle.chunk_size = 4_KB;
+  c.cfs->set_transport(
+      std::make_unique<cfs::ThrottledTransport>(topo, throttle));
+
+  std::vector<BlockId> blocks;
+  for (const auto& [block, data] : c.payloads) blocks.push_back(block);
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> reads{0}, errors{0}, mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 6; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(r) + 41);
+      while (!done.load()) {
+        // Half the reads go to lost blocks.
+        const BlockId b = rng.uniform(2) == 0
+                              ? c.lost[rng.index(c.lost.size())]
+                              : blocks[rng.index(blocks.size())];
+        NodeId reader = c.victim;
+        while (reader == c.victim) {
+          reader = static_cast<NodeId>(rng.index(
+              static_cast<size_t>(topo.node_count())));
+        }
+        try {
+          if (c.cfs->read_block(b, reader) != c.payloads.at(b)) ++mismatches;
+        } catch (const std::exception&) {
+          ++errors;
+        }
+        ++reads;
+      }
+    });
+  }
+
+  RepairConfig rcfg;
+  rcfg.workers = 2;
+  rcfg.repair_bandwidth = 2e6;
+  RepairManager repair(*c.cfs, rcfg);
+  repair.start();
+  repair.schedule_node(c.victim);
+  repair.wait_idle();
+  const int64_t target = reads.load() + 20;
+  while (reads.load() < target) std::this_thread::yield();
+  done.store(true);
+  for (auto& t : readers) t.join();
+  repair.stop();
+
+  const auto report = repair.report();
+  EXPECT_EQ(errors.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_EQ(mismatches.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_EQ(report.repaired, static_cast<int64_t>(c.lost.size()));
+  EXPECT_EQ(report.noop, 0);
+  EXPECT_EQ(report.unrecoverable, 0);
+  for (const BlockId b : c.lost) {
+    EXPECT_TRUE(has_live_copy(*c.cfs, b)) << "block " << b;
+    EXPECT_EQ(c.cfs->read_block(b, c.cfs->block_locations(b)[0]),
+              c.payloads.at(b));
+  }
+}
+
 // ---- recovery fixes (uniform target selection, snapshot sweep) -------------
 
 TEST(Recovery, RepairTargetsAreSpreadUniformly) {
@@ -427,7 +774,7 @@ TEST(Recovery, RepairTargetsAreSpreadUniformly) {
   // one candidate (the old sweep always took the first).
   std::set<NodeId> picked;
   for (int i = 0; i < 200; ++i) {
-    picked.insert(cfs->pick_repair_target({0, 1}, {0}));
+    picked.insert(cfs->pick_repair_target({0, 1}));
   }
   EXPECT_GE(picked.size(), 10u);
 
@@ -448,6 +795,51 @@ TEST(Recovery, RepairTargetsAreSpreadUniformly) {
     }
   }
   EXPECT_GE(targets.size(), 4u);
+}
+
+TEST(Recovery, RackLossRepairsNeverShareANodeWithinAStripe) {
+  // RS(6,4) over 6 racks of 2 nodes: each stripe has a block in every
+  // rack, so once a rack dies every live rack already holds one.  The
+  // rebuilt block must then go to the other node of a used rack, never to
+  // a node holding a sibling, whichever repair path runs.
+  for (const bool manager : {false, true}) {
+    SCOPED_TRACE(manager ? "RepairManager::drain" : "restore_redundancy");
+    cfs::CfsConfig cfg = small_config(6, 2, /*replication=*/2);
+    cfg.placement.code = CodeParams{6, 4};
+    auto cfs = make_cfs(cfg);
+    load_stripes(*cfs, 6);
+    const std::vector<StripeId> stripes = cfs->sealed_stripes();
+    for (const StripeId s : stripes) cfs->encode_stripe(s);
+    cfs->kill_rack(0);
+    int64_t repaired = 0;
+    if (manager) {
+      RepairManager repair(*cfs, RepairConfig{});
+      repair.schedule_rack(0);
+      const auto report = repair.drain();
+      EXPECT_EQ(report.unrecoverable, 0);
+      repaired = report.repaired;
+    } else {
+      const auto report = cfs->restore_redundancy();
+      EXPECT_EQ(report.unrecoverable, 0);
+      repaired = report.repaired;
+    }
+    EXPECT_EQ(repaired, static_cast<int64_t>(stripes.size()));
+    for (const StripeId s : stripes) {
+      const cfs::StripeMeta meta = cfs->stripe_meta(s);
+      std::map<NodeId, int> per_node;
+      for (const auto* ids : {&meta.data_blocks, &meta.parity_blocks}) {
+        for (const BlockId b : *ids) {
+          for (const NodeId n : cfs->block_locations(b)) {
+            if (cfs->node_alive(n)) ++per_node[n];
+          }
+        }
+      }
+      EXPECT_EQ(per_node.size(), 6u) << "stripe " << s;
+      for (const auto& [node, count] : per_node) {
+        EXPECT_EQ(count, 1) << "stripe " << s << " node " << node;
+      }
+    }
+  }
 }
 
 // ---- chaos under real threads (the TSan workload) -------------------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -25,6 +26,8 @@
 #include <vector>
 
 #include "cfs/minicfs.h"
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "store/mem_store.h"
 #include "store/mmap_store.h"
 
@@ -436,6 +439,235 @@ TEST(MmapStore, ConcurrentPutsAndReadsFromDisjointRanges) {
     EXPECT_EQ(*store.get(b), pattern(b, 2048));
   }
 }
+
+// ---- hostile manifests: MmapStoreMutation --------------------------------
+//
+// Seeded sweeps over a saved store's manifest: bit flips, every truncation,
+// and huge block/segment/offset/length values in every record.  Each case
+// re-stamps every record CRC so it reaches the field checks, and opens a
+// fresh copy of the store.  The open must succeed or throw
+// std::runtime_error, create at most the next segment file, and every block
+// the store still serves must hold bytes once written as that block.  Built
+// with GCC only, the compiler every CI job uses, so the seeded case lists
+// are the ones CI ran.
+#if defined(__GNUC__) && !defined(__clang__)
+
+void put_le64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void restamp_records(std::vector<uint8_t>* manifest) {
+  for (size_t at = kManifestHeader; at + kRecordSize <= manifest->size();
+       at += kRecordSize) {
+    uint8_t* rec = manifest->data() + at;
+    const uint32_t crc = crc32(rec, 44);
+    for (int i = 0; i < 4; ++i) rec[44 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+}
+
+std::vector<uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+int open_fds() {
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+int segment_files(const std::string& dir) {
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("seg-", 0) == 0) ++count;
+  }
+  return count;
+}
+
+// A closed store of small blocks over four segments, with an overwrite, an
+// erase and an empty block, plus every version each block was written as.
+class MutationStore {
+ public:
+  // Directories are named after the running test: ctest runs the sweeps
+  // in parallel processes.
+  MutationStore()
+      : master_(std::string("mutation-master-") + test_name()),
+        work_(std::string("mutation-work-") + test_name()) {
+    MmapStoreOptions options;
+    options.segment_bytes = 256;
+    MmapBlockStore store(master_.path(), options);
+    const auto put = [&](BlockId block, BlockId content, size_t size) {
+      store.put(block, BlockBuffer::take(pattern(content, size)));
+      written_[block].push_back(pattern(content, size));
+    };
+    for (BlockId b = 0; b < 6; ++b) put(b, b, 96);
+    put(2, 20, 96);
+    store.erase(4);
+    put(6, 6, 0);
+    put(7, 7, 96);
+    segments_ = store.segment_count();
+    manifest_ = read_file(master_.path() + "/manifest.log");
+  }
+
+  const std::vector<uint8_t>& manifest() const { return manifest_; }
+  int segments() const { return segments_; }
+
+  static const char* test_name() {
+    return ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  }
+
+  struct Outcomes {
+    int opened = 0;
+    int rejected = 0;
+  };
+
+  // Opens a copy of the store whose manifest is `manifest`.
+  void open(const std::vector<uint8_t>& manifest, const std::string& what,
+            Outcomes* outcomes) const {
+    fs::remove_all(work_.path());
+    fs::copy(master_.path(), work_.path());
+    {
+      std::ofstream out(work_.path() + "/manifest.log",
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(manifest.data()),
+                static_cast<std::streamsize>(manifest.size()));
+    }
+    try {
+      MmapBlockStore store(work_.path());
+      ++outcomes->opened;
+      for (const BlockId b : store.block_ids()) {
+        const auto got = store.get(b);
+        const auto versions = written_.find(b);
+        if (!got || versions == written_.end() ||
+            std::none_of(versions->second.begin(), versions->second.end(),
+                         [&got](const std::vector<uint8_t>& bytes) {
+                           return *got == bytes;
+                         })) {
+          ADD_FAILURE() << what << ": block " << b
+                        << " served bytes never written as it";
+        }
+      }
+    } catch (const std::runtime_error&) {
+      ++outcomes->rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << typeid(e).name() << ": " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << what << ": non-standard exception";
+    }
+    EXPECT_LE(segment_files(work_.path()), segments_ + 1) << what;
+  }
+
+ private:
+  ScratchDir master_;
+  ScratchDir work_;
+  std::vector<uint8_t> manifest_;
+  int segments_ = 0;
+  std::map<BlockId, std::vector<std::vector<uint8_t>>> written_;
+};
+
+TEST(MmapStoreMutation, BitFlipsOpenOrThrowAndServeOnlyWrittenBytes) {
+  const MutationStore store;
+  ASSERT_EQ(store.segments(), 4);
+  const auto& manifest = store.manifest();
+  const int fds = open_fds();
+  Rng rng(23);
+  MutationStore::Outcomes outcomes;
+  // One random bit in every byte, then random two- to four-bit bursts.
+  for (size_t at = 0; at < manifest.size(); ++at) {
+    auto bad = manifest;
+    bad[at] ^= static_cast<uint8_t>(1u << rng.uniform(8));
+    restamp_records(&bad);
+    store.open(bad, "flip at " + std::to_string(at), &outcomes);
+  }
+  for (int i = 0; i < 300; ++i) {
+    auto bad = manifest;
+    const int flips = 2 + static_cast<int>(rng.uniform(3));
+    for (int f = 0; f < flips; ++f) {
+      bad[rng.uniform(manifest.size())] ^=
+          static_cast<uint8_t>(1u << rng.uniform(8));
+    }
+    restamp_records(&bad);
+    store.open(bad, "burst " + std::to_string(i), &outcomes);
+  }
+  // Magic bits are rejected; record bits open with fewer blocks.
+  EXPECT_GT(outcomes.opened, 0);
+  EXPECT_GT(outcomes.rejected, 0);
+  EXPECT_EQ(open_fds(), fds) << "a rejected open leaked descriptors";
+}
+
+TEST(MmapStoreMutation, EveryTruncationOpensToAWrittenPrefix) {
+  const MutationStore store;
+  const auto& manifest = store.manifest();
+  MutationStore::Outcomes outcomes;
+  for (size_t len = 0; len < manifest.size(); ++len) {
+    const std::vector<uint8_t> cut(
+        manifest.begin(), manifest.begin() + static_cast<ptrdiff_t>(len));
+    store.open(cut, "truncated to " + std::to_string(len), &outcomes);
+  }
+  // A cut inside the magic starts a fresh store; every other cut keeps the
+  // committed prefix.
+  EXPECT_EQ(outcomes.rejected, 0);
+}
+
+TEST(MmapStoreMutation, HugeFieldValuesOpenOrThrow) {
+  const MutationStore store;
+  const auto& manifest = store.manifest();
+  MutationStore::Outcomes outcomes;
+  // Written over the block, segment, offset and length field of every
+  // record; 5000 and 0xFFFFFFFF as a segment once segfaulted the open or
+  // made it create thousands of segment files.
+  for (size_t rec = kManifestHeader; rec + kRecordSize <= manifest.size();
+       rec += kRecordSize) {
+    for (const size_t field : {8, 16, 24, 32}) {
+      for (const uint64_t huge :
+           {~uint64_t{0}, uint64_t{1} << 63, (uint64_t{1} << 63) - 1,
+            uint64_t{1} << 40, uint64_t{1} << 32, uint64_t{0xFFFFFFFF},
+            uint64_t{5000}}) {
+        auto bad = manifest;
+        put_le64(bad.data() + rec + field, huge);
+        restamp_records(&bad);
+        store.open(bad,
+                   "value " + std::to_string(huge) + " at " +
+                       std::to_string(rec + field),
+                   &outcomes);
+      }
+    }
+  }
+  EXPECT_GT(outcomes.opened, 0);
+}
+
+TEST(MmapStoreMutation, LoneRecordNamingAFarSegmentCreatesNoFiles) {
+  // The 56-byte manifest: a header and one PUT naming segment 5000, or
+  // 0xFFFFFFFF, in an otherwise empty directory.
+  for (const uint32_t segment : {5000u, 0xFFFFFFFFu}) {
+    ScratchDir dir("far-segment");
+    fs::create_directories(dir.path());
+    std::vector<uint8_t> manifest(kManifestHeader + kRecordSize, 0);
+    std::memcpy(manifest.data(), "EARSTOR2", 8);
+    uint8_t* rec = manifest.data() + kManifestHeader;
+    put_le64(rec, 0x4D524145u | (uint64_t{1} << 32));  // marker, type PUT
+    put_le64(rec + 8, 1);                               // block
+    put_le64(rec + 16, segment);
+    put_le64(rec + 32, 64);                             // length
+    restamp_records(&manifest);
+    {
+      std::ofstream out(dir.path() + "/manifest.log", std::ios::binary);
+      out.write(reinterpret_cast<const char*>(manifest.data()),
+                static_cast<std::streamsize>(manifest.size()));
+    }
+    MmapBlockStore store(dir.path());
+    EXPECT_EQ(store.block_count(), 0u) << segment;
+    EXPECT_EQ(store.open_report().records_replayed, 0) << segment;
+    EXPECT_EQ(store.open_report().torn_bytes_truncated, kRecordSize)
+        << segment;
+    EXPECT_EQ(segment_files(dir.path()), 0) << segment;
+  }
+}
+
+#endif  // GCC
 
 }  // namespace
 }  // namespace ear::store

@@ -609,7 +609,7 @@ TEST(CfsVectorCodecs, RepairBlockRestoresBytes) {
     cfs->kill_node(holder);
   }
   const NodeId target =
-      cfs->pick_repair_target({}, cfs->live_stripe_racks(victim));
+      cfs->pick_repair_target({}, cfs->live_stripe_nodes(victim));
   cfs->repair_block(victim, target);
   NodeId reader = 0;
   while (!cfs->node_alive(reader)) ++reader;
