@@ -15,14 +15,22 @@
 // paper's Iperf-style congestion).  One mode per degraded-read data path:
 //   - Clay (sub-block plans): one fan-out lane per source, so the
 //     helpers' ranged shares arrive in parallel at the reader's down-link.
-//   - RS (whole-block plans): the helper chain streams a partial sum from
-//     helper to helper and into the reader, so every link carries one
-//     block: about (k + chunks - 1) chunk-times.  Every chain hop crosses a
-//     congested up-link, so the chain is fastest with --oversub 1
-//     --inject-bytes 0, where no link is a bottleneck.
-// Both modes read the same data blocks; the bench exits non-zero if they
-// rebuild one differently.  Reported: mean/max degraded-read
-// completion per mode.
+//   - RS (whole-block plans) at the testbed's chunking: the helper chain
+//     streams a partial sum from helper to helper and into the reader, so
+//     every link carries one block: about (k + S - 1) chunk-times for S
+//     chunks per block.  Every chain hop crosses a congested up-link, so
+//     the chain is fastest with --oversub 1 --inject-bytes 0.
+//   - RS with blocks in two chunks: the same reads once pipeline fill
+//     dominates.  A wire-bound read then splits the chain into p parallel
+//     chains converging at the reader, about max(p S, k/p + S - 1)
+//     chunk-times.  MiniCfs picks p from its measured hop and decode
+//     times, so each mode's first read, which has no measurement yet,
+//     runs one chain.  At the defaults (S = 16) the RS chain keeps one
+//     chain and this mode runs two; under --smoke (S = 4) both split.
+// Every mode reads the same data blocks; the bench exits non-zero if two
+// rebuild one differently.  Reported per mode: chunks per block, the most
+// chains a read ran, how many reads split, mean/max degraded-read
+// completion.
 //
 //   ./bench_ext_readpath                     # both phases, defaults
 //   ./bench_ext_readpath --smoke             # tiny run for sanitizer CI
@@ -44,7 +52,10 @@
 #include "cfs/raidnode.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "datapath/pipeline.h"
 #include "mapred/read_job.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace {
 
@@ -100,16 +111,21 @@ HotResult run_hot(const ear::bench::TestbedParams& params, Bytes cache_bytes,
   return r;
 }
 
-// One phase-2 data path, chosen by the codec family's plan shape.
+// One phase-2 data path, chosen by the codec family's plan shape and the
+// number of chunks per block.
 struct DegradedMode {
   const char* label;
   const char* csv;
   erasure::CodecFamily family;
+  int chunks;  // chunks per block; 0 = the testbed's transport chunk
 };
 
 struct DegradedResult {
   const DegradedMode* mode = nullptr;
   int64_t reads = 0;
+  int chunks = 0;
+  int max_chains = 0;       // most parallel chains one read ran (0: none)
+  int64_t split_reads = 0;  // reads that ran more than one chain
   double mean_s = 0;
   double max_s = 0;
 };
@@ -125,6 +141,10 @@ DegradedResult run_degraded(
   ear::bench::TestbedParams p = params;
   p.cache_bytes = 0;  // isolate the data-path effect
   p.codec_family = mode.family;
+  if (mode.chunks > 0) {
+    p.throttle.chunk_size = p.block_size / mode.chunks;
+    p.throttle.pipeline_chunk = p.throttle.chunk_size;
+  }
   // Congested egress: rack up-links carry 1/oversub of a node link (the
   // interference direction), while rack ingress stays at full speed — so
   // the reader's down-link, not the sources, should be the bottleneck.
@@ -172,6 +192,15 @@ DegradedResult run_degraded(
 
   DegradedResult res;
   res.mode = &mode;
+  res.chunks = datapath::ChunkPlan{cfs.codec().sub_block_size(p.block_size),
+                                   cfs.transport().preferred_chunk()}
+                   .count();
+  auto& registry = obs::Registry::instance();
+  obs::Gauge& chains = registry.gauge("cfs.degraded_read.max_chains");
+  const obs::Counter& splits =
+      registry.counter("cfs.degraded_read.split_chains");
+  chains.reset();
+  const int64_t splits_before = splits.value();
   double total = 0;
   for (const BlockId b : degraded) {
     const auto t0 = Clock::now();
@@ -192,6 +221,8 @@ DegradedResult run_degraded(
     ++res.reads;
   }
   res.mean_s = res.reads > 0 ? total / static_cast<double>(res.reads) : 0;
+  res.max_chains = static_cast<int>(chains.value());
+  res.split_reads = splits.value() - splits_before;
   return res;
 }
 
@@ -259,13 +290,19 @@ int main(int argc, char** argv) {
                    std::to_string(speedup) + "x (expected ~pass count)");
 
   // ---- phase 2: degraded reads -------------------------------------------
+  // The chain counts come from the metrics registry, so collect metrics
+  // (tracing stays as the flags set it).
+  obs::Config metrics_on = obs::config();
+  metrics_on.metrics = true;
+  obs::init(metrics_on);
   ear::bench::note("degraded reads: node 0 dead, rack up-links " +
                    std::to_string(oversub) + "x oversubscribed, " +
                    std::to_string(inject_bytes) +
                    " interference bytes on every surviving rack up-link");
   static const DegradedMode kModes[] = {
-      {"fan-out (Clay)", "fanout", erasure::CodecFamily::kClay},
-      {"chain (RS)", "chain", erasure::CodecFamily::kRS},
+      {"fan-out (Clay)", "fanout", erasure::CodecFamily::kClay, 0},
+      {"chain (RS)", "chain", erasure::CodecFamily::kRS, 0},
+      {"split (RS, 2 chunks)", "split", erasure::CodecFamily::kRS, 2},
   };
   std::map<BlockId, datapath::BlockBuffer> rebuilt;
   std::vector<DegradedResult> results;
@@ -273,10 +310,13 @@ int main(int argc, char** argv) {
     results.push_back(run_degraded(params, mode, degraded_reads, inject_bytes,
                                    oversub, &rebuilt));
   }
-  ear::bench::row("%-22s %8s %12s %12s", "mode", "reads", "mean s", "max s");
+  ear::bench::row("%-22s %8s %8s %8s %8s %12s %12s", "mode", "reads",
+                  "chunks", "chains", "split", "mean s", "max s");
   for (const DegradedResult& r : results) {
-    ear::bench::row("%-22s %8lld %12.3f %12.3f", r.mode->label,
-                    static_cast<long long>(r.reads), r.mean_s, r.max_s);
+    ear::bench::row("%-22s %8lld %8d %8d %8lld %12.3f %12.3f", r.mode->label,
+                    static_cast<long long>(r.reads), r.chunks, r.max_chains,
+                    static_cast<long long>(r.split_reads), r.mean_s,
+                    r.max_s);
     if (!csv_path.empty()) {
       csv.row("degraded,%s,%lld,,,%.4f,%.4f,,\n", r.mode->csv,
               static_cast<long long>(r.reads), r.mean_s, r.max_s);

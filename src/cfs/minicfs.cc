@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
@@ -62,7 +63,69 @@ std::vector<NodeId> chain_order(const Topology& topo,
   return chain;
 }
 
+// How many parallel chains a wire-bound whole-block read of `chunks` chunks
+// through `hops` helpers should converge at the reader: p chains cost
+// about max(p * chunks, ceil(hops / p) + chunks - 1) chunk-times (the
+// reader's down-link carries one block per chain; each chain fills its own
+// pipeline).  The cheapest p wins, ties going to fewer chains; p = 1 is the
+// single chain, p = hops the star.
+int parallel_chains(int hops, int chunks) {
+  int best = 1;
+  int best_cost = hops + chunks - 1;
+  for (int p = 2; p <= hops; ++p) {
+    const int cost = std::max(p * chunks, (hops + p - 1) / p + chunks - 1);
+    if (cost < best_cost) {
+      best = p;
+      best_cost = cost;
+    }
+  }
+  return best;
+}
+
+// Cuts `chain` (chain_order's output) into `p` contiguous segments of at
+// most ceil(size / p) helpers each and returns their lengths ({size} for
+// p = 1).  Each cut
+// falls on the latest rack boundary that cap allows, so a rack's helpers
+// stay in one segment and its link is crossed once; where no boundary
+// fits, the segment takes the cap.
+std::vector<int> split_chain(const Topology& topo,
+                             const std::vector<NodeId>& chain, int p) {
+  const int hops = static_cast<int>(chain.size());
+  const int cap = (hops + p - 1) / p;
+  const auto rack_at = [&](int i) {
+    return topo.rack_of(chain[static_cast<size_t>(i)]);
+  };
+  std::vector<int> lengths;
+  int begin = 0;
+  for (int left = p; left > 1; --left) {
+    // Lengths that leave every later segment between 1 and cap helpers.
+    const int rest = hops - begin;
+    const int lo = std::max(1, rest - (left - 1) * cap);
+    int len = std::min(cap, rest - (left - 1));
+    for (int l = len; l >= lo; --l) {
+      if (rack_at(begin + l - 1) != rack_at(begin + l)) {
+        len = l;
+        break;
+      }
+    }
+    lengths.push_back(len);
+    begin += len;
+  }
+  lengths.push_back(hops - begin);
+  return lengths;
+}
+
 }  // namespace
+
+void MiniCfs::CostEstimate::add(double seconds, size_t bytes) {
+  if (bytes == 0) return;
+  const double sample = seconds / static_cast<double>(bytes);
+  double least = per_byte_.load(std::memory_order_relaxed);
+  while ((least < 0 || sample < least) &&
+         !per_byte_.compare_exchange_weak(least, sample,
+                                          std::memory_order_relaxed)) {
+  }
+}
 
 MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
     : config_(config),
@@ -93,6 +156,10 @@ MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
       ctr_repairs_(&obs::Registry::instance().counter("cfs.blocks_repaired")),
       ctr_store_misses_(
           &obs::Registry::instance().counter("cfs.read.store_misses")),
+      ctr_split_chains_(&obs::Registry::instance().counter(
+          "cfs.degraded_read.split_chains")),
+      gauge_chains_(
+          &obs::Registry::instance().gauge("cfs.degraded_read.max_chains")),
       hist_encode_s_(&obs::Registry::instance().histogram(
           "cfs.encode_stripe_seconds",
           {0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10, 30, 60})) {
@@ -141,6 +208,9 @@ void MiniCfs::set_transport(std::unique_ptr<Transport> transport) {
         "first (see minicfs.h)");
   }
   transport_ = std::move(transport);
+  // The old link rates say nothing about the new transport's.
+  hop_wire_.reset();
+  decode_.reset();
 }
 
 void MiniCfs::store(NodeId node, BlockId block, datapath::BlockBuffer bytes) {
@@ -444,24 +514,54 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
       static_cast<size_t>(config_.block_size));
 
   // Repair pipelining, for every read whose sources each ship their whole
-  // block: the helpers form a chain ending at the reader, and each hop
+  // block: the helpers form chains ending at the reader, and each hop
   // forwards the running partial sum of chunk c as soon as its predecessor
-  // has delivered it.  Every link carries one block instead of the
-  // reader's down-link carrying k.  The math runs at the reader (the ecdag
-  // convention: the transport charges each hop's bytes, the result is
+  // has delivered it.  Every link carries one block, and the reader's
+  // down-link one per chain instead of k.  The math runs at the reader (the
+  // ecdag convention: the transport charges each hop's bytes, the result is
   // byte-identical), and the wire bytes are one block per source.
+  //
+  // One chain costs its pipeline fill, about (hops + chunks - 1)
+  // chunk-times.  When the wire paces the read (a hop's chunk takes longer
+  // than its decode, by the running estimates) and blocks have few chunks,
+  // the chain is cut at rack boundaries into parallel chains that converge
+  // at the reader (parallel_chains has the cost model).  A decode-bound
+  // read keeps one chain: extra chains would only add hand-offs.
   const auto chain_to_reader = [&](const std::vector<NodeId>& helpers,
                                    const std::function<void(int)>& compute) {
     const std::vector<NodeId> chain = chain_order(topo_, helpers, reader);
     const int hops = static_cast<int>(chain.size());
+    const double wire = hop_wire_.per_byte();
+    const double decode = decode_.per_byte();
+    const bool wire_bound = decode >= 0 && wire > decode;
+    const int p = wire_bound ? parallel_chains(hops, chunks.count()) : 1;
+    const std::vector<int> segments = split_chain(topo_, chain, p);
+    if (p > 1) ctr_split_chains_->add();
+    gauge_chains_->set_max(static_cast<double>(p));
+    // to[h]: where hop h sends; each segment's last hop reaches the reader.
+    std::vector<NodeId> to(chain.begin() + 1, chain.end());
+    to.push_back(reader);
+    int end = 0;
+    for (const int len : segments) {
+      end += len;
+      to[static_cast<size_t>(end - 1)] = reader;
+    }
     datapath::StagedPipeline::run_chain(
-        chunks.count(), hops,
+        chunks.count(), segments,
         /*hop=*/
         [&](int h, int c) {
-          const NodeId next =
-              h + 1 < hops ? chain[static_cast<size_t>(h + 1)] : reader;
-          transport_->transfer(chain[static_cast<size_t>(h)], next,
+          const NodeId from = chain[static_cast<size_t>(h)];
+          const NodeId next = to[static_cast<size_t>(h)];
+          const auto t0 = std::chrono::steady_clock::now();
+          transport_->transfer(from, next,
                                static_cast<Bytes>(chunks.len(c)) * alpha);
+          // A helper on the reader moves nothing: not a wire sample.
+          if (from != next) {
+            hop_wire_.add(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count(),
+                          chunks.len(c));
+          }
         },
         compute);
   };
@@ -493,8 +593,13 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
 
     // One fused apply_plan_chunk per chunk at the reader.
     const auto compute = [&](int c) {
+      const auto t0 = std::chrono::steady_clock::now();
       erasure::ErasureCodec::apply_plan_chunk(plan, units, out.span(),
                                               chunks.offset(c), chunks.len(c));
+      decode_.add(std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count(),
+                  chunks.len(c));
     };
     const bool whole_blocks = std::all_of(
         plan.sources.begin(), plan.sources.end(),

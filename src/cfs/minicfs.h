@@ -380,6 +380,22 @@ class MiniCfs {
   void notify_rebuilt(BlockId block, NodeId holder,
                       const datapath::BlockBuffer& bytes);
 
+  // Running estimate of an operation's uncontended per-byte time: the
+  // least measured since the last reset, so a preempted or queued call
+  // cannot inflate it.  Shared by concurrent reads.
+  class CostEstimate {
+   public:
+    void add(double seconds, size_t bytes);
+    // Seconds per byte; negative before the first sample.
+    double per_byte() const {
+      return per_byte_.load(std::memory_order_relaxed);
+    }
+    void reset() { per_byte_.store(-1, std::memory_order_relaxed); }
+
+   private:
+    std::atomic<double> per_byte_{-1};
+  };
+
   CfsConfig config_;
   Topology topo_;
   std::mutex transport_mu_;  // serializes set_transport swaps
@@ -407,6 +423,13 @@ class MiniCfs {
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
   std::atomic<int64_t> encode_cross_rack_downloads_{0};
+  // Per chunk byte: one helper-chain hop's wire time and the reader's
+  // decode (apply_plan_chunk), measured by the degraded reads since the
+  // transport was installed; set_transport resets both.  A whole-block read
+  // splits its helper chain only while the wire is the slower of the two
+  // (degraded_read_once).
+  CostEstimate hop_wire_;
+  CostEstimate decode_;
 
   // The rebuild listener slot.  listener_calls_ counts callbacks running
   // outside listener_mu_; clearing the slot waits for it to reach zero.
@@ -422,6 +445,8 @@ class MiniCfs {
   obs::Counter* ctr_degraded_read_bytes_;
   obs::Counter* ctr_repairs_;
   obs::Counter* ctr_store_misses_;
+  obs::Counter* ctr_split_chains_;
+  obs::Gauge* gauge_chains_;
   obs::Histogram* hist_encode_s_;
 };
 

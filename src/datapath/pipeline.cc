@@ -189,12 +189,14 @@ void StagedPipeline::run_fanout(int chunks, int lanes,
   }
 }
 
-void StagedPipeline::run_chain(int chunks, int hops,
+void StagedPipeline::run_chain(int chunks, const std::vector<int>& chain_hops,
                                const std::function<void(int, int)>& hop,
                                const std::function<void(int)>& compute) {
-  if (chunks <= 1) {
+  const int chains = static_cast<int>(chain_hops.size());
+  assert(chains >= 1);
+  if (chains == 1 && chunks <= 1) {
     // One-shot path: each hop forwards the whole window in chain order.
-    for (int h = 0; h < hops; ++h) hop(h, 0);
+    for (int h = 0; h < chain_hops[0]; ++h) hop(h, 0);
     compute(0);
     return;
   }
@@ -202,15 +204,22 @@ void StagedPipeline::run_chain(int chunks, int hops,
   static obs::Gauge* gauge_in_flight =
       &obs::Registry::instance().gauge("datapath.chunks_in_flight");
 
-  assert(hops >= 1);
-  // Cell (h, c), hop h moving chunk c, follows (h-1, c) and (h, c-1).  One
-  // task per chunk walks its chunk down every hop, so the task's own
-  // previous move satisfies (h-1, c) and each move waits only for the chunk
-  // ahead to have left the hop; over an instant transport a chunk then
-  // crosses the whole chain on one thread.
+  // first[j]: chain j's first hop; first[chains]: the hop count.
+  std::vector<int> first(static_cast<size_t>(chains) + 1, 0);
+  for (int j = 0; j < chains; ++j) {
+    assert(chain_hops[static_cast<size_t>(j)] >= 1);
+    first[static_cast<size_t>(j) + 1] =
+        first[static_cast<size_t>(j)] + chain_hops[static_cast<size_t>(j)];
+  }
+  // Cell (h, c), hop h moving chunk c, follows (h-1, c) in its chain and
+  // (h, c-1).  One task per (chain, chunk) walks its chunk down every hop
+  // of its chain, so the task's own previous move satisfies (h-1, c) and
+  // each move waits only for the chunk ahead to have left the hop; over an
+  // instant transport a chunk then crosses its chain on one thread.
   // crossed[h]: chunks [0, n) have crossed hop h, in chunk order.
-  std::vector<ChunkLadder> crossed(static_cast<size_t>(hops));
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(chunks));
+  std::vector<ChunkLadder> crossed(static_cast<size_t>(first.back()));
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(chains) *
+                                         static_cast<size_t>(chunks));
   std::atomic<bool> aborting{false};
   const auto abort_all = [&] {
     aborting.store(true, std::memory_order_relaxed);
@@ -220,40 +229,55 @@ void StagedPipeline::run_chain(int chunks, int hops,
   // path.
   TaskGroup stages(WorkerPool::shared());
 
+  // Chunk-major, so every chain's chunk 0 sets out first.
   for (int c = 0; c < chunks; ++c) {
-    stages.submit([&, c] {
-      obs::Span span("datapath.chain", "datapath");
-      span.arg("chunk", c);
-      span.arg("hops", hops);
-      try {
-        for (int h = 0; h < hops; ++h) {
-          ChunkLadder& here = crossed[static_cast<size_t>(h)];
-          // Wait slot-free (the gate rule in pipeline.h) for chunk c-1 to
-          // have left hop h.
-          if (!here.wait_for(c)) return;
-          if (aborting.load(std::memory_order_relaxed)) return;
-          {
-            LaneSlot slot;
-            hop(h, c);
+    for (int j = 0; j < chains; ++j) {
+      stages.submit([&, c, j] {
+        const int begin = first[static_cast<size_t>(j)];
+        const int end = first[static_cast<size_t>(j) + 1];
+        obs::Span span("datapath.chain", "datapath");
+        span.arg("chain", j);
+        span.arg("chunk", c);
+        span.arg("hops", end - begin);
+        try {
+          for (int h = begin; h < end; ++h) {
+            ChunkLadder& here = crossed[static_cast<size_t>(h)];
+            // Wait slot-free (the gate rule in pipeline.h) for chunk c-1 to
+            // have left hop h.
+            if (!here.wait_for(c)) return;
+            if (aborting.load(std::memory_order_relaxed)) return;
+            {
+              LaneSlot slot;
+              hop(h, c);
+            }
+            here.publish(c + 1);
           }
-          here.publish(c + 1);
+        } catch (...) {
+          errors[static_cast<size_t>(c) * static_cast<size_t>(chains) +
+                 static_cast<size_t>(j)] = std::current_exception();
+          abort_all();
         }
-      } catch (...) {
-        errors[static_cast<size_t>(c)] = std::current_exception();
-        abort_all();
-      }
-    });
+      });
+    }
   }
 
   try {
     obs::Span span("datapath.compute", "datapath");
     span.arg("chunks", chunks);
-    span.arg("hops", hops);
-    ChunkLadder& delivered = crossed.back();
+    span.arg("chains", chains);
+    span.arg("hops", first.back());
     for (int c = 0; c < chunks; ++c) {
-      if (!delivered.wait_for(c + 1)) break;
-      // Chunks through the whole chain but not yet consumed.
-      gauge_in_flight->set_max(static_cast<double>(delivered.ready() - c));
+      bool delivered = true;
+      int min_ready = chunks;
+      for (int j = 0; j < chains && delivered; ++j) {
+        const int tail = first[static_cast<size_t>(j) + 1] - 1;
+        ChunkLadder& last = crossed[static_cast<size_t>(tail)];
+        delivered = last.wait_for(c + 1);
+        min_ready = std::min(min_ready, last.ready());
+      }
+      if (!delivered) break;
+      // Chunks through every chain but not yet consumed.
+      gauge_in_flight->set_max(static_cast<double>(min_ready - c));
       compute(c);
     }
   } catch (...) {

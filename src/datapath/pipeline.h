@@ -11,8 +11,9 @@
 //
 // StagedPipeline::run_fanout pulls sources to one node over concurrent
 // lanes and overlaps them with compute and upload at chunk granularity
-// (encode runs it with one lane); run_chain streams a partial sum through
-// a chain of helpers so no link carries more than one block; ChunkPlan
+// (encode runs it with one lane); run_chain streams partial sums through
+// one or more chains of helpers so no link carries more than one block
+// per chain; ChunkPlan
 // slices a block into transport-sized windows; the
 // `datapath.chunks_in_flight` gauge records the high-water fetch/compute
 // distance, proving the overlap.  Stages, fan-out
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <vector>
 
 #include "common/units.h"
 
@@ -115,18 +117,27 @@ class StagedPipeline {
                          const std::function<void(int)>& upload = nullptr);
 
   // Chain variant for whole-block reconstruction ("repair pipelining"):
-  // `hops` >= 1 helpers form a chain h0 -> h1 -> ... -> h(hops-1) ->
-  // reader, and hop(h, c) moves chunk c of the running partial sum one link
-  // down the chain.  hop(h, c) is called only after hop h-1 has moved chunk
-  // c and hop h has moved chunk c-1, so chunk c trails chunk c-1 down the
-  // chain, each link carries its chunks in order, and every link carries
-  // one block instead of the reader's down-link carrying `hops` of them:
-  // about (hops + chunks - 1) chunk-times instead of `hops` block-times.
-  // compute(c) runs on the caller once the last hop has delivered chunk c.
+  // one or more chains of helpers converge at the reader.  Chain j has
+  // chain_hops[j] >= 1 hops, and hops are numbered consecutively across
+  // the chains: chain 0 owns hops [0, chain_hops[0]), chain 1 the next
+  // chain_hops[1], and so on.  Within a chain, hop h moves chunk c of its
+  // running partial sum one link further (the chain's last hop delivers it
+  // to the reader).  hop(h, c) is called only after hop h-1 of the same
+  // chain has moved chunk c and hop h has moved chunk c-1, so chunk c
+  // trails chunk c-1 down the chain, each link carries its chunks in order,
+  // and each link carries one block, except that the reader's down-link
+  // carries one per chain (not one per helper).  compute(c) runs on the
+  // caller once every chain has delivered chunk c.
   //
-  // The moves run on one shared-pool task per chunk, which walks its chunk
-  // down every hop: over an instant transport a chunk crosses the whole
-  // chain on one thread before the reader decodes it.
+  // One chain costs about (hops + chunks - 1) chunk-times; p chains of
+  // about hops/p hops each cost about max(p * chunks, hops/p + chunks - 1),
+  // since the reader's down-link carries one block per chain.  A single
+  // chain suits many chunks, parallel chains few (the partial-parallel
+  // repair shape; one chain per helper is the star).
+  //
+  // The moves run on one shared-pool task per (chain, chunk), which walks
+  // its chunk down every hop of its chain: over an instant transport a
+  // chunk crosses a whole chain on one thread before the reader decodes it.
   //
   // Gate rule: a task takes a kMaxActiveLanes slot only around each
   // single-chunk hop(h, c) call, never while it waits for a predecessor.
@@ -134,11 +145,12 @@ class StagedPipeline {
   // kMaxActiveLanes tasks in flight, fill every slot with waiters whose
   // predecessors can never get one.
   //
-  // chunks <= 1 runs the hops in chain order on the caller, then compute:
-  // no tasks, no hand-off.  Errors as in run_fanout(): the first hop error
-  // aborts every stage and is rethrown after every task of the call has
-  // drained; a compute error leaves only after the tasks have drained.
-  static void run_chain(int chunks, int hops,
+  // One chain of one chunk runs its hops in order on the caller, then
+  // compute: no tasks, no hand-off.  Errors as in run_fanout(): the first
+  // hop error aborts every chain and is rethrown after every task of the
+  // call has drained; a compute error leaves only after the tasks have
+  // drained.
+  static void run_chain(int chunks, const std::vector<int>& chain_hops,
                         const std::function<void(int, int)>& hop,
                         const std::function<void(int)>& compute);
 

@@ -356,42 +356,80 @@ TEST(StagedPipeline, ManyShortCallsTearDownCleanly) {
 
 // -------------------------------------------------------- StagedPipeline chain
 
-// A recording hop function: hop h may move chunk c only once hop h-1 has
-// delivered it, each hop moves its chunks in order, and compute(c) runs only
-// after the last hop delivered chunk c.  The hops sleep so later chunks are
-// still upstream while earlier ones move down the chain.
-void expect_chain_order(int chunks, int hops) {
-  SCOPED_TRACE(std::to_string(chunks) + " chunks, " + std::to_string(hops) +
-               " hops");
+// Hop layouts the chain tests sweep: one chain, two and three parallel
+// chains (p in {1, 2, 3}), uneven lengths included.
+const std::vector<std::vector<int>> kChainLayouts = {{5}, {3, 3}, {3, 2, 3}};
+
+std::string layout_name(const std::vector<int>& chain_hops) {
+  std::string name;
+  for (const int hops : chain_hops) {
+    name += (name.empty() ? "" : "+") + std::to_string(hops);
+  }
+  return name + " hops";
+}
+
+// first[h]: the first hop of hop h's chain; last[j]: chain j's last hop.
+struct ChainLayout {
+  std::vector<int> first;
+  std::vector<int> last;
+  int hops = 0;
+
+  explicit ChainLayout(const std::vector<int>& chain_hops) {
+    for (const int n : chain_hops) {
+      for (int i = 0; i < n; ++i) first.push_back(hops);
+      hops += n;
+      last.push_back(hops - 1);
+    }
+  }
+};
+
+// A recording hop function: hop h may move chunk c only once the hop
+// before it in its chain has delivered it, each hop moves its chunks in
+// order, and compute(c) runs only after every chain's last hop delivered
+// chunk c.  The hops sleep so later chunks are still upstream while
+// earlier ones move down the chains; with `slow_last_chain` the last
+// chain's hops sleep ten times longer, so the others deliver well before
+// it.
+void expect_chain_order(int chunks, const std::vector<int>& chain_hops,
+                        bool slow_last_chain = false) {
+  SCOPED_TRACE(std::to_string(chunks) + " chunks, " + layout_name(chain_hops) +
+               (slow_last_chain ? ", slow last chain" : ""));
+  const ChainLayout layout(chain_hops);
+  const int slow_from =
+      slow_last_chain ? layout.hops - chain_hops.back() : layout.hops;
   std::mutex mu;
-  std::vector<int> delivered(static_cast<size_t>(hops), 0);  // per hop
+  std::vector<int> delivered(static_cast<size_t>(layout.hops), 0);  // per hop
   std::vector<int> computed;
   int active = 0, max_active = 0;
   StagedPipeline::run_chain(
-      chunks, hops,
+      chunks, chain_hops,
       [&](int h, int c) {
         {
           std::lock_guard<std::mutex> lock(mu);
           EXPECT_EQ(delivered[static_cast<size_t>(h)], c)
               << "hop " << h << " out of order";
-          if (h > 0) {
+          if (h > layout.first[static_cast<size_t>(h)]) {
             EXPECT_GE(delivered[static_cast<size_t>(h - 1)], c + 1)
                 << "hop " << h << " moved chunk " << c
                 << " before its predecessor delivered it";
           }
           max_active = std::max(max_active, ++active);
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(h >= slow_from ? 5000 : 500));
         std::lock_guard<std::mutex> lock(mu);
         --active;
         delivered[static_cast<size_t>(h)] = c + 1;
       },
       [&](int c) {
         std::lock_guard<std::mutex> lock(mu);
-        EXPECT_GE(delivered[static_cast<size_t>(hops - 1)], c + 1);
+        for (const int h : layout.last) {
+          EXPECT_GE(delivered[static_cast<size_t>(h)], c + 1)
+              << "chain ending at hop " << h << " had not delivered";
+        }
         computed.push_back(c);
       });
-  for (int h = 0; h < hops; ++h) {
+  for (int h = 0; h < layout.hops; ++h) {
     EXPECT_EQ(delivered[static_cast<size_t>(h)], chunks) << "hop " << h;
   }
   ASSERT_EQ(computed.size(), static_cast<size_t>(chunks));
@@ -403,15 +441,22 @@ void expect_chain_order(int chunks, int hops) {
 }
 
 TEST(StagedPipelineChain, HopsWaitForTheirPredecessor) {
-  expect_chain_order(/*chunks=*/8, /*hops=*/5);  // more chunks than hops
-  expect_chain_order(/*chunks=*/3, /*hops=*/8);  // more hops than chunks
+  expect_chain_order(/*chunks=*/8, {5});  // more chunks than hops
+  expect_chain_order(/*chunks=*/3, {8});  // more hops than chunks
+  for (const auto& layout : kChainLayouts) {
+    expect_chain_order(/*chunks=*/4, layout);
+    // One chunk: parallel chains still overlap (one chain runs inline).
+    if (layout.size() > 1) expect_chain_order(/*chunks=*/1, layout);
+  }
+  // compute(c) waits for the chain that delivers last, not the first.
+  expect_chain_order(/*chunks=*/3, {3, 2}, /*slow_last_chain=*/true);
 }
 
 TEST(StagedPipelineChain, SingleChunkRunsHopsInChainOrderInline) {
   std::vector<int> order;
   int computes = 0;
   StagedPipeline::run_chain(
-      1, 4, [&](int h, int c) {
+      1, {4}, [&](int h, int c) {
         EXPECT_EQ(c, 0);
         order.push_back(h);
       },
@@ -424,22 +469,48 @@ TEST(StagedPipelineChain, SingleChunkRunsHopsInChainOrderInline) {
   EXPECT_EQ(computes, 1);
 }
 
-// Runs one failing chain and checks that nothing of it runs after the call
-// returned: every task drained before the exception left.
-void expect_chain_error_drains(int chunks, int hops, int fail_hop,
-                               int fail_compute) {
-  SCOPED_TRACE(std::to_string(chunks) + " chunks, " + std::to_string(hops) +
-               " hops");
+TEST(StagedPipelineChain, OneChainSubmitsOneTaskPerChunk) {
+  // One chain runs exactly one pool task per chunk (none for one chunk);
+  // p parallel chains run one per (chain, chunk).
+  const struct {
+    int chunks;
+    std::vector<int> chain_hops;
+    int64_t tasks;
+  } cases[] = {{8, {5}, 8},     {1, {5}, 0},      {2, {4}, 2},
+               {8, {3, 3}, 16}, {1, {2, 2, 1}, 3}, {2, {3, 2, 3}, 6}};
+  WorkerPool& pool = WorkerPool::shared();
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(std::to_string(tc.chunks) + " chunks, " +
+                 layout_name(tc.chain_hops));
+    const int64_t before = pool.tasks_executed();
+    StagedPipeline::run_chain(tc.chunks, tc.chain_hops, [](int, int) {},
+                              [](int) {});
+    EXPECT_EQ(pool.tasks_executed() - before, tc.tasks);
+  }
+}
+
+// Runs one failing set of chains and checks that nothing of it runs after
+// the call returned: every task of every chain drained before the exception
+// left.
+void expect_chain_error_drains(int chunks, const std::vector<int>& chain_hops,
+                               int fail_hop, int fail_compute) {
+  SCOPED_TRACE(std::to_string(chunks) + " chunks, " + layout_name(chain_hops) +
+               ", failing hop " + std::to_string(fail_hop));
+  const ChainLayout layout(chain_hops);
   std::atomic<int> calls{0};
   std::atomic<bool> returned{false};
   std::atomic<int> late{0};
   EXPECT_THROW(
       StagedPipeline::run_chain(
-          chunks, hops,
+          chunks, chain_hops,
           [&](int h, int c) {
             if (returned.load()) late.fetch_add(1);
             calls.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            // Chunks past the failing one move slowly, so the error lands
+            // while most of their moves are still to come, however late
+            // the caller gets to run.
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(c >= 2 ? 2000 : 200));
             if (h == fail_hop && c == 1) throw std::runtime_error("hop died");
           },
           [&](int c) {
@@ -451,17 +522,30 @@ void expect_chain_error_drains(int chunks, int hops, int fail_hop,
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(calls.load(), at_return) << "a hop ran after the call returned";
   EXPECT_EQ(late.load(), 0);
-  EXPECT_LT(at_return, chunks * hops) << "the error did not stop the chain";
+  EXPECT_LT(at_return, chunks * layout.hops)
+      << "the error did not stop the chains";
 }
 
 TEST(StagedPipelineChain, HopErrorPropagatesAndDrains) {
-  expect_chain_error_drains(8, 4, /*fail_hop=*/2, /*fail_compute=*/-1);
-  expect_chain_error_drains(3, 8, /*fail_hop=*/5, /*fail_compute=*/-1);
+  expect_chain_error_drains(8, {4}, /*fail_hop=*/2, /*fail_compute=*/-1);
+  expect_chain_error_drains(3, {8}, /*fail_hop=*/5, /*fail_compute=*/-1);
+  // A hop of every chain fails in turn: the others drain too.
+  for (const auto& chain_hops : kChainLayouts) {
+    const ChainLayout layout(chain_hops);
+    for (const int h : layout.last) {
+      expect_chain_error_drains(8, chain_hops, /*fail_hop=*/h,
+                                /*fail_compute=*/-1);
+    }
+  }
 }
 
 TEST(StagedPipelineChain, ComputeErrorPropagatesAndDrains) {
-  expect_chain_error_drains(8, 4, /*fail_hop=*/-1, /*fail_compute=*/1);
-  expect_chain_error_drains(3, 8, /*fail_hop=*/-1, /*fail_compute=*/0);
+  expect_chain_error_drains(8, {4}, /*fail_hop=*/-1, /*fail_compute=*/1);
+  expect_chain_error_drains(3, {8}, /*fail_hop=*/-1, /*fail_compute=*/0);
+  for (const auto& chain_hops : kChainLayouts) {
+    expect_chain_error_drains(8, chain_hops, /*fail_hop=*/-1,
+                              /*fail_compute=*/1);
+  }
 }
 
 // Runs `work` on its own thread.  A deadlocked thread cannot be joined, so
@@ -486,77 +570,83 @@ void finish_within(std::chrono::seconds deadline,
 }
 
 TEST(StagedPipelineChain, WaitingHopsHoldNoGateSlot) {
-  // Fan-out lanes parked in fetch hold all but two gate slots.  In a
-  // three-hop, three-chunk chain, chunk 1's move over hop 0 then stalls,
-  // holding one slot, until chunk 0 has crossed hop 2: chunk 0's last two
-  // moves must get by on the one remaining slot while chunk 2 waits for
-  // chunk 1.  A chain whose waiting tasks held slots would deadlock here
-  // whenever chunk 2 took that slot first; ManyConcurrentChainsFinish, whose
-  // waiting tasks outnumber the slots, catches that every time.
+  // Fan-out lanes parked in fetch hold all but two gate slots.  In p
+  // three-hop chains of three chunks, chain 0's chunk 1 move over hop 0
+  // then stalls, holding one slot, until chunk 0 has crossed chain 0's hop
+  // 2: chunk 0's last two moves must get by on the one remaining slot while
+  // the other chains' moves compete for it and chunk 2 waits for chunk 1.
+  // Chains whose waiting tasks held slots would deadlock here whenever a
+  // waiter took that slot first; ManyConcurrentChainsFinish, whose waiting
+  // tasks outnumber the slots, catches that every time.
   constexpr int kParked = StagedPipeline::kMaxActiveLanes - 2;
-  std::mutex mu;
-  std::condition_variable cv;
-  int parked = 0;
-  bool release = false;
-  bool hop2_moved_chunk0 = false;
-  std::thread blocker([&] {
-    StagedPipeline::run_fanout(
-        1, kParked,
-        [&](int, int) {
-          std::unique_lock<std::mutex> lock(mu);
-          ++parked;
-          cv.notify_all();
-          cv.wait(lock, [&] { return release; });
-        },
-        [](int) {});
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return parked == kParked; });
-  }
-  int computed = 0;
-  finish_within(std::chrono::seconds(30), [&] {
-    StagedPipeline::run_chain(
-        3, 3,
-        [&](int h, int c) {
-          std::unique_lock<std::mutex> lock(mu);
-          if (h == 0 && c == 1) {
-            cv.wait(lock, [&] { return hop2_moved_chunk0; });
-          }
-          if (h == 2 && c == 0) {
-            hop2_moved_chunk0 = true;
+  for (const int p : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(p) + " chains");
+    std::mutex mu;
+    std::condition_variable cv;
+    int parked = 0;
+    bool release = false;
+    bool hop2_moved_chunk0 = false;
+    std::thread blocker([&] {
+      StagedPipeline::run_fanout(
+          1, kParked,
+          [&](int, int) {
+            std::unique_lock<std::mutex> lock(mu);
+            ++parked;
             cv.notify_all();
-          }
-        },
-        [&](int) { ++computed; });
-  });
-  EXPECT_EQ(computed, 3);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
+            cv.wait(lock, [&] { return release; });
+          },
+          [](int) {});
+    });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked == kParked; });
+    }
+    int computed = 0;
+    finish_within(std::chrono::seconds(30), [&] {
+      StagedPipeline::run_chain(
+          3, std::vector<int>(static_cast<size_t>(p), 3),
+          [&](int h, int c) {
+            std::unique_lock<std::mutex> lock(mu);
+            if (h == 0 && c == 1) {
+              cv.wait(lock, [&] { return hop2_moved_chunk0; });
+            }
+            if (h == 2 && c == 0) {
+              hop2_moved_chunk0 = true;
+              cv.notify_all();
+            }
+          },
+          [&](int) { ++computed; });
+    });
+    EXPECT_EQ(computed, 3);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    blocker.join();
   }
-  cv.notify_all();
-  blocker.join();
 }
 
 TEST(StagedPipelineChain, ManyConcurrentChainsFinish) {
-  // 100 concurrent 10-hop chains, half of them 12 chunks long and half 4,
-  // put 800 tasks (one per chunk) in flight against the kMaxActiveLanes
-  // (64) gate slots; every chain must finish and move every chunk through
+  // 50 concurrent calls of ten hops each, as one chain, two or three
+  // parallel ones, half of them 12 chunks long and half 4, put about 800
+  // tasks (one per chain and chunk) in flight against the kMaxActiveLanes
+  // (64) gate slots; every call must finish and move every chunk through
   // every hop.  Were a task to keep a slot while it waits for the chunk
   // ahead, waiting tasks would fill every slot and the chains would stall.
-  constexpr int kChains = 100, kHops = 10;
-  static_assert(kChains * kHops > StagedPipeline::kMaxActiveLanes);
+  constexpr int kCalls = 50, kHops = 10;
+  static_assert(kCalls * kHops > StagedPipeline::kMaxActiveLanes);
+  const std::vector<std::vector<int>> layouts = {{10}, {5, 5}, {4, 3, 3}};
   std::atomic<int> wrong{0};
   finish_within(std::chrono::seconds(60), [&] {
     std::vector<std::thread> callers;
-    for (int i = 0; i < kChains; ++i) {
+    for (int i = 0; i < kCalls; ++i) {
       callers.emplace_back([&, i] {
         const int chunks = i % 2 == 0 ? 12 : 4;
         std::atomic<int> hop_calls{0};
         int computed = 0;
         StagedPipeline::run_chain(
-            chunks, kHops,
+            chunks, layouts[static_cast<size_t>(i % 3)],
             [&](int, int) {
               hop_calls.fetch_add(1);
               std::this_thread::sleep_for(std::chrono::microseconds(50));

@@ -23,6 +23,8 @@
 #include "datapath/block_cache.h"
 #include "datapath/pipeline.h"
 #include "mapred/read_job.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace ear {
 namespace {
@@ -378,7 +380,8 @@ TEST(DegradedFanout, ByteIdenticalAcrossFailuresLanesAndCacheStates) {
 // --------------------------------------------------- degraded-read helper chain
 
 // Records every transfer in arrival order; byte accounting as
-// InstantTransport.
+// InstantTransport.  A non-zero `delay` makes every transfer between two
+// nodes sleep that long, so the wire paces reads.
 class RecordingTransport final : public cfs::Transport {
  public:
   struct Transfer {
@@ -387,14 +390,16 @@ class RecordingTransport final : public cfs::Transport {
     Bytes bytes = 0;
   };
 
-  RecordingTransport(const Topology& topo, Bytes preferred_chunk)
-      : inner_(topo, preferred_chunk) {}
+  RecordingTransport(const Topology& topo, Bytes preferred_chunk,
+                     std::chrono::microseconds delay = {})
+      : inner_(topo, preferred_chunk), delay_(delay) {}
 
   void transfer(NodeId src, NodeId dst, Bytes size) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
       log_.push_back({src, dst, size});
     }
+    if (src != dst) std::this_thread::sleep_for(delay_);
     inner_.transfer(src, dst, size);
   }
   Bytes preferred_chunk() const override { return inner_.preferred_chunk(); }
@@ -412,6 +417,7 @@ class RecordingTransport final : public cfs::Transport {
 
  private:
   cfs::InstantTransport inner_;
+  std::chrono::microseconds delay_;
   std::mutex mu_;
   std::vector<Transfer> log_;
 };
@@ -564,6 +570,127 @@ TEST(DegradedChain, RsReadSendsOneBlockPerHopDownAChainToTheReader) {
   EXPECT_TRUE(saw_reader_helper);
 }
 
+// Reads that split their helper chain so far (cfs.degraded_read.split_chains).
+int64_t split_reads() {
+  return obs::Registry::instance()
+      .counter("cfs.degraded_read.split_chains")
+      .value();
+}
+
+void enable_metrics() {
+  obs::Config ocfg;
+  ocfg.metrics = true;
+  obs::init(ocfg);
+}
+
+// A node holding no copy of any block of `stripe`: its reads pay a wire hop
+// from every helper.
+NodeId stripe_free_node(cfs::MiniCfs& cfs, StripeId stripe) {
+  const cfs::StripeMeta meta = cfs.stripe_meta(stripe);
+  std::set<NodeId> holders;
+  for (const auto* blocks : {&meta.data_blocks, &meta.parity_blocks}) {
+    for (const BlockId b : *blocks) {
+      for (const NodeId n : cfs.block_locations(b)) holders.insert(n);
+    }
+  }
+  NodeId node = 0;
+  while (holders.count(node)) ++node;
+  return node;
+}
+
+// RS(6,4), 256 KiB blocks in two 128 KiB chunks, and a transport whose every
+// hop sleeps 8 ms, longer than a chunk's decode even under a sanitizer: once
+// a read has measured both, each read splits its four-helper chain in two,
+// max(2 x 2, 2 + 2 - 1) = 4 chunk-times against one chain's 4 + 2 - 1 = 5.
+// Exactly two hops end at the reader, every helper sends its block once,
+// each segment keeps chain_order's rack order, and the bytes are those
+// written.
+TEST(DegradedChain, WireBoundReadSplitsIntoParallelChains) {
+  enable_metrics();
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto cfg = readpath_config();
+    cfg.seed = seed;
+    cfg.cache_bytes = 0;
+    cfg.placement.code = CodeParams{6, 4};
+    cfg.placement.c = 2;  // up to two stripe blocks per rack
+    cfg.block_size = 256_KB;
+    const Bytes chunk = 128_KB;
+    std::map<BlockId, std::vector<uint8_t>> originals;
+    StripeId stripe = kInvalidStripe;
+    auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
+    cfs->encode_stripe(stripe);
+    const Topology& topo = cfs->topology();
+    auto recorder = std::make_unique<RecordingTransport>(
+        topo, chunk, std::chrono::milliseconds(8));
+    RecordingTransport* log = recorder.get();
+    cfs->set_transport(std::move(recorder));
+
+    const cfs::StripeMeta meta = cfs->stripe_meta(stripe);
+    const int k = cfg.placement.code.k;
+    const NodeId reader = stripe_free_node(*cfs, stripe);
+    ASSERT_LT(reader, topo.node_count());
+    const BlockId victim = meta.data_blocks[0];
+    cfs->kill_node(cfs->block_locations(victim).at(0));
+
+    // The first read finds no estimate yet and runs one chain; it measures
+    // the hops and the decode.
+    const int64_t before = split_reads();
+    ASSERT_EQ(cfs->read_block(victim, reader), originals.at(victim));
+    EXPECT_EQ(split_reads(), before);
+    for (int read = 0; read < 2; ++read) {
+      log->take();
+      ASSERT_EQ(cfs->read_block(victim, reader), originals.at(victim));
+      EXPECT_EQ(split_reads(), before + read + 1);
+      const std::vector<Link> links = links_of(log->take());
+      ASSERT_EQ(static_cast<int>(links.size()), k);
+      std::map<NodeId, NodeId> next;  // helper -> the node it sent to
+      for (const Link& link : links) {
+        EXPECT_EQ(link.bytes, cfg.block_size) << "helper " << link.src;
+        EXPECT_EQ(link.transfers, 2) << "helper " << link.src;
+        EXPECT_TRUE(next.emplace(link.src, link.dst).second)
+            << "helper " << link.src << " sent twice";
+      }
+      std::set<NodeId> fed;  // helpers some other helper sent to
+      int into_reader = 0;
+      for (const auto& [src, dst] : next) {
+        if (dst == reader) {
+          ++into_reader;
+        } else {
+          ASSERT_TRUE(next.count(dst)) << dst << " is not a helper";
+          fed.insert(dst);
+        }
+      }
+      EXPECT_EQ(into_reader, 2);
+      // Walk each segment from its head: racks stay contiguous and the
+      // reader's rack comes last, as in the single chain.
+      const RackId home = topo.rack_of(reader);
+      int walked = 0;
+      for (const auto& [head, unused] : next) {
+        if (fed.count(head)) continue;
+        std::set<RackId> left;
+        bool in_home = false;
+        for (NodeId n = head, prev = kInvalidNode; n != reader;
+             prev = n, n = next.at(n)) {
+          ++walked;
+          const RackId r = topo.rack_of(n);
+          if (prev != kInvalidNode && r != topo.rack_of(prev)) {
+            EXPECT_FALSE(left.count(r)) << "rack " << r << " split up";
+            left.insert(topo.rack_of(prev));
+          }
+          in_home = in_home || r == home;
+          EXPECT_TRUE(r == home || !in_home) << "remote helper after home";
+        }
+      }
+      EXPECT_EQ(walked, k) << "segments do not cover every helper once";
+    }
+  }
+  EXPECT_GE(obs::Registry::instance()
+                .gauge("cfs.degraded_read.max_chains")
+                .value(),
+            2);
+}
+
 // Clay and Hitchhiker helpers ship ranged shares of their blocks, so their
 // degraded reads still fan in to the reader and move exactly the plan's
 // bytes.
@@ -636,19 +763,10 @@ TEST(ChainReadTiming, RsDegradedReadTakesUnderHalfTheStar) {
   throttle.pipeline_chunk = 64_KB;
   cfs->set_transport(std::make_unique<cfs::ThrottledTransport>(topo, throttle));
 
-  const cfs::StripeMeta meta = cfs->stripe_meta(stripe);
-  const BlockId victim = meta.data_blocks[0];
-  const NodeId holder = cfs->block_locations(victim).at(0);
-  std::set<NodeId> stripe_nodes;
-  for (const auto* blocks : {&meta.data_blocks, &meta.parity_blocks}) {
-    for (const BlockId b : *blocks) {
-      for (const NodeId n : cfs->block_locations(b)) stripe_nodes.insert(n);
-    }
-  }
-  NodeId reader = 0;
-  while (stripe_nodes.count(reader)) ++reader;
+  const BlockId victim = cfs->stripe_meta(stripe).data_blocks[0];
+  const NodeId reader = stripe_free_node(*cfs, stripe);
   ASSERT_LT(reader, topo.node_count());
-  cfs->kill_node(holder);
+  cfs->kill_node(cfs->block_locations(victim).at(0));
 
   double best_s = 1e9;
   for (int i = 0; i < 3; ++i) {
@@ -663,6 +781,63 @@ TEST(ChainReadTiming, RsDegradedReadTakesUnderHalfTheStar) {
                         static_cast<double>(cfg.block_size) /
                         throttle.node_bw;
   EXPECT_LT(best_s, star_s / 2) << "star " << star_s * 1e3 << " ms";
+}
+
+// RS(6,4), 256 KiB blocks in two 128 KiB chunks, senders' rack up-links at
+// 10 MB/s while node links and rack down-links run at 40 MB/s (congestion on
+// the up-links, receiver ingress clear).  One chain needs (k + S - 1) = 5
+// chunk-times of the up-links (66 ms); two chains of two hops converge at
+// the reader in about 3, so once the first read has measured the wire, the
+// fastest of three reads must beat 0.9x the one-chain bound.  Out of TSan
+// like its sibling.
+TEST(ChainReadTiming, TwoChainsBeatOneWhenChunksAreFew) {
+  enable_metrics();
+  cfs::CfsConfig cfg;
+  cfg.racks = 8;
+  cfg.nodes_per_rack = 1;
+  cfg.placement.code = CodeParams{6, 4};
+  cfg.placement.replication = 2;
+  cfg.placement.c = 1;
+  cfg.use_ear = true;
+  cfg.block_size = 256_KB;
+  cfg.seed = 3;
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  StripeId stripe = kInvalidStripe;
+  auto cfs = sealed_cluster(cfg, 0, &originals, &stripe);
+  cfs->encode_stripe(stripe);
+  const Topology& topo = cfs->topology();
+
+  cfs::ThrottleConfig throttle;
+  throttle.node_bw = 40e6;
+  throttle.rack_uplink_bw = 10e6;
+  throttle.rack_downlink_bw = 40e6;
+  throttle.chunk_size = 128_KB;
+  throttle.pipeline_chunk = 128_KB;
+  cfs->set_transport(std::make_unique<cfs::ThrottledTransport>(topo, throttle));
+
+  const NodeId reader = stripe_free_node(*cfs, stripe);
+  ASSERT_LT(reader, topo.node_count());
+  const BlockId victim = cfs->stripe_meta(stripe).data_blocks[0];
+  cfs->kill_node(cfs->block_locations(victim).at(0));
+
+  ASSERT_EQ(cfs->read_block(victim, reader), originals.at(victim));
+  const int64_t before = split_reads();
+  double best_s = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto got = cfs->read_block(victim, reader);
+    best_s = std::min(best_s, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+    ASSERT_EQ(got, originals.at(victim));
+  }
+  EXPECT_EQ(split_reads(), before + 3);
+  const int k = cfg.placement.code.k, chunks = 2;
+  const double one_chain_s = (k + chunks - 1) *
+                             static_cast<double>(throttle.pipeline_chunk) /
+                             throttle.rack_uplink_bw;
+  EXPECT_LT(best_s, 0.9 * one_chain_s)
+      << "one chain " << one_chain_s * 1e3 << " ms";
 }
 
 // ------------------------------------------------ set_transport fill fence
@@ -729,6 +904,118 @@ TEST(SetTransport, InFlightGuardFencesCacheFills) {
   cfs->set_transport(std::make_unique<cfs::InstantTransport>(topo));
   EXPECT_EQ(cfs->read_block(block, reader), originals.at(block));
   EXPECT_EQ(transport_bytes(*cfs), 0);
+}
+
+// Wire-bound transport for the estimator race: every transfer between two
+// nodes sleeps 8 ms (slower than a 128 KiB decode even under a sanitizer),
+// and while held every transfer parks until released.
+class PacedTransport final : public cfs::Transport {
+ public:
+  explicit PacedTransport(Bytes preferred_chunk) : chunk_(preferred_chunk) {}
+
+  void transfer(NodeId src, NodeId dst, Bytes) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !held_; });
+    }
+    if (src != dst) std::this_thread::sleep_for(std::chrono::milliseconds(8));
+  }
+  Bytes preferred_chunk() const override { return chunk_; }
+  int64_t cross_rack_bytes() const override { return 0; }
+  int64_t intra_rack_bytes() const override { return 0; }
+
+  void hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+    entered_ = 0;
+  }
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  const Bytes chunk_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool held_ = false;
+};
+
+// Degraded readers on four threads measure a wire-bound transport and split
+// their chains.  A swap attempted while they are in flight throws and keeps
+// the estimate, so the next read still splits; the swap that succeeds
+// resets it, so reads over the instant transport (decode-bound) run one
+// chain from the first read on, and every read returns the written bytes.
+TEST(SetTransport, SwapResetsTheChainSplitEstimateWhileReadersRace) {
+  enable_metrics();
+  auto cfg = readpath_config();
+  cfg.cache_bytes = 0;
+  cfg.placement.code = CodeParams{6, 4};
+  cfg.block_size = 256_KB;
+  const Bytes chunk = 128_KB;
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  StripeId stripe = kInvalidStripe;
+  auto cfs = sealed_cluster(cfg, chunk, &originals, &stripe);
+  cfs->encode_stripe(stripe);
+  const Topology& topo = cfs->topology();
+  auto paced = std::make_unique<PacedTransport>(chunk);
+  PacedTransport* pace = paced.get();
+  cfs->set_transport(std::move(paced));
+
+  const BlockId victim = cfs->stripe_meta(stripe).data_blocks[0];
+  const NodeId holder = cfs->block_locations(victim).at(0);
+  cfs->kill_node(holder);
+  std::atomic<int> wrong{0};
+  const auto read_on_threads = [&](int reads_each) {
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&, t, reads_each] {
+        const NodeId reader = (holder + 1 + t) % topo.node_count();
+        for (int i = 0; i < reads_each; ++i) {
+          if (cfs->read_block(victim, reader) != originals.at(victim)) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    return readers;
+  };
+  const auto join = [](std::vector<std::thread> threads) {
+    for (auto& t : threads) t.join();
+  };
+
+  const int64_t start = split_reads();
+  join(read_on_threads(3));
+  EXPECT_GT(split_reads(), start) << "wire-bound reads never split";
+
+  // Readers in flight: the swap refuses and leaves the estimate alone.
+  pace->hold();
+  auto racing = read_on_threads(2);
+  pace->wait_entered();
+  EXPECT_THROW(
+      cfs->set_transport(std::make_unique<cfs::InstantTransport>(topo, chunk)),
+      std::logic_error);
+  pace->release();
+  join(std::move(racing));
+  const int64_t kept = split_reads();
+  ASSERT_EQ(cfs->read_block(victim, (holder + 1) % topo.node_count()),
+            originals.at(victim));
+  EXPECT_EQ(split_reads(), kept + 1) << "a refused swap reset the estimate";
+
+  // Quiesced: the swap succeeds and forgets the old transport's rates.
+  cfs->set_transport(std::make_unique<cfs::InstantTransport>(topo, chunk));
+  const int64_t swapped = split_reads();
+  join(read_on_threads(3));
+  EXPECT_EQ(split_reads(), swapped) << "decode-bound reads split";
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ----------------------------------------------------------- TestbedReadJob
