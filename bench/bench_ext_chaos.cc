@@ -186,14 +186,16 @@ LiveOutcome run_chaos_live(const bench::TestbedParams& tparams,
   // failed encodes get their retry.
   cfs.revive_all();
   if (!encode.failed.empty()) {
-    cfs.restore_redundancy();
+    repair.schedule_scan();
+    repair.wait_idle();
     const cfs::EncodeReport retry = raid.encode_stripes(encode.failed);
     out.encode_retried_ok = encode.failed.size() - retry.failed.size();
   }
   pump.stop();
   detector.stop();
   repair.stop();
-  cfs.restore_redundancy();
+  repair.schedule_scan();
+  repair.drain();
 
   out.false_positives = detector.false_positives();
   out.repair = repair.report();

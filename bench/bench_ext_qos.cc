@@ -339,7 +339,9 @@ uint32_t run_byte_identity(bool qos_on) {
 
   for (const StripeId s : testbed.stripes) cfs.encode_stripe(s);
   cfs.kill_node(2);
-  cfs.restore_redundancy();
+  failure::RepairManager repair(cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  repair.drain();
 
   uint32_t digest = 0;
   // Every read payload (replica reads and degraded reads alike)...

@@ -24,6 +24,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "cfs/minicfs.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "failure/repair.h"
 #include "store/mem_store.h"
 #include "store/mmap_store.h"
 
@@ -189,14 +191,16 @@ std::unique_ptr<cfs::MiniCfs> make_cluster(cfs::CfsConfig cfg) {
       cfg, std::make_unique<cfs::InstantTransport>(topo));
 }
 
-void bench_recovery(const Ctx& ctx) {
+// Returns the number of failed scenarios: a block the drain gave up on, or
+// one that does not read back its pattern after the repair.
+int bench_recovery(const Ctx& ctx) {
   bench::header("Restart recovery",
                 "repair traffic after a node restart: mmap replays its "
                 "directory (delta repair) vs mem (full rebuild)");
   bench::row("%-28s | %12s | %12s | %12s", "backend", "recovered",
              "repaired", "repair MB");
 
-  const auto scenario = [&](const char* label, bool mmap_backend) {
+  const auto scenario = [&](const char* label, bool mmap_backend) -> bool {
     cfs::CfsConfig cfg;
     cfg.racks = 6;
     cfg.nodes_per_rack = 3;
@@ -211,9 +215,10 @@ void bench_recovery(const Ctx& ctx) {
       fs::remove_all(cfg.store_dir);
     }
     auto cluster = make_cluster(cfg);
+    std::vector<BlockId> written;
     for (int i = 0; i < 48; ++i) {
-      cluster->write_block(
-          pattern(i, static_cast<size_t>(cfg.block_size)));
+      written.push_back(cluster->write_block(
+          pattern(i, static_cast<size_t>(cfg.block_size))));
     }
     NodeId victim = 0;
     for (NodeId n = 0; n < cfg.racks * cfg.nodes_per_rack; ++n) {
@@ -225,9 +230,23 @@ void bench_recovery(const Ctx& ctx) {
     const auto report = cluster->restart_node(victim);
     const int64_t before = cluster->transport().cross_rack_bytes() +
                            cluster->transport().intra_rack_bytes();
-    const auto recovery = cluster->restore_redundancy();
+    failure::RepairManager repair(*cluster, failure::RepairConfig{});
+    repair.schedule_scan();
+    const auto recovery = repair.drain();
     const int64_t moved = cluster->transport().cross_rack_bytes() +
                           cluster->transport().intra_rack_bytes() - before;
+    int64_t mismatched = 0;  // wrong bytes, or no readable copy left
+    for (size_t i = 0; i < written.size(); ++i) {
+      const auto expect = pattern(static_cast<int64_t>(i),
+                                  static_cast<size_t>(cfg.block_size));
+      try {
+        if (!(cluster->read_block(written[i], victim) == expect)) {
+          ++mismatched;
+        }
+      } catch (const std::runtime_error&) {
+        ++mismatched;
+      }
+    }
     bench::row("%-28s | %12lld | %12lld | %12.2f", label,
                static_cast<long long>(report.blocks_recovered),
                static_cast<long long>(recovery.re_replicated +
@@ -238,13 +257,22 @@ void bench_recovery(const Ctx& ctx) {
       cluster.reset();
       fs::remove_all(cfg.store_dir);
     }
+    if (recovery.unrecoverable > 0 || mismatched > 0) {
+      bench::row("  # FAIL: %s: %lld unrecoverable, %lld blocks mismatched",
+                 label, static_cast<long long>(recovery.unrecoverable),
+                 static_cast<long long>(mismatched));
+      return false;
+    }
+    return true;
   };
 
-  scenario("mmap (delta repair)", true);
-  scenario("mem (full rebuild)", false);
+  int failures = 0;
+  if (!scenario("mmap (delta repair)", true)) ++failures;
+  if (!scenario("mem (full rebuild)", false)) ++failures;
   bench::note("the mmap node re-registers every surviving on-disk block, so "
               "redundancy repair moves ~0 bytes; the mem node lost all "
               "state and every block it held is re-replicated");
+  return failures;
 }
 
 // ---- crash smoke (CI) ----------------------------------------------------
@@ -421,7 +449,7 @@ int main(int argc, char** argv) {
   } else {
     bench_writes(ctx);
     bench_reads(ctx);
-    bench_recovery(ctx);
+    if (bench_recovery(ctx) > 0) rc = 1;
   }
   fs::remove_all(ctx.root);
 

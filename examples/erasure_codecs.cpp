@@ -42,6 +42,7 @@ int main() {
 
   std::printf("encoding %d x 1 MiB data blocks into (%d,%d) stripes\n\n", k,
               n, k);
+  int failures = 0;
 
   // ---- Reed-Solomon, both constructions ------------------------------------
   for (const auto construction : {erasure::Construction::kVandermonde,
@@ -76,6 +77,7 @@ int main() {
     }
     std::printf("  lost blocks {0,3,7,11}: decode from any k -> %s\n",
                 intact ? "all data intact" : "FAILED");
+    if (!intact) ++failures;
   }
 
   // ---- CRS: XOR-only encode --------------------------------------------------
@@ -114,10 +116,12 @@ int main() {
     const auto t0 = Clock::now();
     lrc.repair(lost, sources, rebuilt);
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    const bool intact = rebuilt == lrc_data[lost];
     std::printf("LRC(10,2,2) local repair of block %d: read %zu blocks "
                 "(RS needs %d), %7.1f MB/s, %s\n",
                 lost, plan.size(), lrc.k(), mbps(kBlock, s),
-                rebuilt == lrc_data[lost] ? "content intact" : "FAILED");
+                intact ? "content intact" : "FAILED");
+    if (!intact) ++failures;
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

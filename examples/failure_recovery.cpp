@@ -10,6 +10,7 @@
 
 #include "cfs/minicfs.h"
 #include "common/rng.h"
+#include "failure/repair.h"
 #include "placement/monitor.h"
 
 namespace {
@@ -113,42 +114,36 @@ int main() {
   }
   std::printf("  degraded reads: %d/%zu data blocks recovered intact\n",
               recovered, meta.data_blocks.size());
+  const bool intact = recovered == static_cast<int>(meta.data_blocks.size());
 
-  // Repair the three lost blocks onto live nodes in unused racks.
-  std::set<RackId> used;
-  for (const BlockId b : meta.data_blocks) {
-    const auto locs = cluster.block_locations(b);
-    if (!locs.empty() && cluster.node_alive(locs[0])) {
-      used.insert(topo.rack_of(locs[0]));
+  // Restore redundancy: the repair manager rebuilds each lost stripe block
+  // on a live node in a rack holding no other block of the stripe, and
+  // re-replicates the replicated blocks that lost copies.
+  failure::RepairManager repair(cluster, failure::RepairConfig{});
+  repair.schedule_scan();
+  const failure::RepairManager::Report report = repair.drain();
+  std::set<RackId> racks;
+  for (const auto* ids : {&meta.data_blocks, &meta.parity_blocks}) {
+    for (const BlockId b : *ids) {
+      racks.insert(topo.rack_of(cluster.block_locations(b)[0]));
     }
   }
-  for (const BlockId b : meta.parity_blocks) {
-    const auto locs = cluster.block_locations(b);
-    if (!locs.empty() && cluster.node_alive(locs[0])) {
-      used.insert(topo.rack_of(locs[0]));
-    }
-  }
-  int repaired = 0;
-  for (int i = 0; i < 3; ++i) {
-    const BlockId victim = meta.data_blocks[static_cast<size_t>(i)];
-    for (NodeId n = 0; n < topo.node_count(); ++n) {
-      if (!cluster.node_alive(n) || used.count(topo.rack_of(n))) continue;
-      cluster.repair_block(victim, n);
-      used.insert(topo.rack_of(n));
-      ++repaired;
-      break;
-    }
-  }
-  std::printf("  repaired %d blocks onto fresh racks\n", repaired);
+  std::printf("  repair: %lld stripe blocks rebuilt, %lld replica copies "
+              "made; the stripe spans %zu racks again\n",
+              static_cast<long long>(report.repaired),
+              static_cast<long long>(report.re_replicated), racks.size());
+  std::printf("  unrecoverable: %lld (replicated blocks whose every copy "
+              "was in the killed racks)\n",
+              static_cast<long long>(report.unrecoverable));
 
-  // One more rack failure is now survivable again.
-  const RackId another = *used.begin();
-  cluster.kill_rack(another);
+  // One more rack failure is now survivable again: lose the rack block 0
+  // was rebuilt into and read it back by decoding.
+  const BlockId first = meta.data_blocks[0];
+  cluster.kill_rack(topo.rack_of(cluster.block_locations(first)[0]));
   const NodeId reader2 = first_alive(cluster);
+  const bool survived =
+      cluster.read_block(first, reader2) == contents.at(first);
   std::printf("  after killing one more rack, block 0 reads back %s\n",
-              cluster.read_block(meta.data_blocks[0], reader2) ==
-                      contents.at(meta.data_blocks[0])
-                  ? "intact"
-                  : "CORRUPTED");
-  return 0;
+              survived ? "intact" : "CORRUPTED");
+  return intact && survived ? 0 : 1;
 }

@@ -75,9 +75,9 @@ int main() {
   const NodeId reader = (dead + 1) % topo.node_count();
   const ear::datapath::BlockBuffer recovered =
       cluster.read_block(victim, reader);
+  const bool intact = recovered == contents.at(victim);
   std::printf("degraded read of block %ld: %s\n", (long)victim,
-              recovered == contents.at(victim) ? "content matches original"
-                                               : "CORRUPTED");
+              intact ? "content matches original" : "CORRUPTED");
 
   // Repair the block onto a healthy node and verify again.
   const NodeId target = (dead + 2) % topo.node_count();
@@ -88,5 +88,5 @@ int main() {
     std::printf(" %d", n);
   }
   std::printf("\n");
-  return 0;
+  return intact ? 0 : 1;
 }

@@ -169,7 +169,7 @@ MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
                     "sub-packetization: ") +
         codec_->name() + " needs alpha=" + std::to_string(codec_->alpha()));
   }
-  revive_all();
+  std::fill(node_alive_.begin(), node_alive_.end(), true);
   datanodes_.reserve(static_cast<size_t>(topo_.node_count()));
   for (int i = 0; i < topo_.node_count(); ++i) {
     datanodes_.push_back(make_store(i));
@@ -860,8 +860,7 @@ void MiniCfs::revive_node(NodeId node) {
   node_alive_[static_cast<size_t>(node)] = true;
   // A revived store changes which locations are servable; cached entries
   // for its blocks predate that and must be re-validated on next read.
-  // (The constructor's revive_all() runs before datanodes_ exists — guard.)
-  if (cache_ && static_cast<size_t>(node) < datanodes_.size()) {
+  if (cache_) {
     for (const BlockId b : datanodes_[static_cast<size_t>(node)]->block_ids()) {
       cache_->invalidate_block(b);
     }
@@ -888,7 +887,7 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
 
   // 2. Block report: reconcile the namespace with what actually survived.
   // One snapshot, then per-block point updates (same discipline as
-  // restore_redundancy).
+  // RepairManager's scans).
   const NamespaceSnapshot snap = namespace_snapshot();
   for (const auto& [block, status] : snap.blocks) {
     const bool listed = std::find(status.locations.begin(),
@@ -897,7 +896,7 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
     const bool held = surviving_set.count(block) > 0;
     if (listed && !held) {
       // Lost in the crash (or never committed): prune so reads stop
-      // retrying this node and restore_redundancy sees the gap.
+      // retrying this node and a RepairManager scan sees the gap.
       ns_.update_locations(block, [node](std::vector<NodeId>& locs) {
         locs.erase(std::remove(locs.begin(), locs.end(), node), locs.end());
       });
@@ -937,7 +936,7 @@ void MiniCfs::revive_rack(RackId rack) {
 }
 
 void MiniCfs::revive_all() {
-  std::fill(node_alive_.begin(), node_alive_.end(), true);
+  for (NodeId n = 0; n < topo_.node_count(); ++n) revive_node(n);
 }
 
 bool MiniCfs::node_alive(NodeId node) const {

@@ -197,11 +197,15 @@ class MiniCfs {
   StripeMeta stripe_meta(StripeId stripe) const;
 
   // ---- failure & repair ----------------------------------------------------
+  // Restoring redundancy after failures is failure::RepairManager's job (a
+  // synchronous sweep is schedule_scan() then drain()); it drives the repair
+  // primitives below.
   void kill_node(NodeId node);
   void kill_rack(RackId rack);
   // Revival models a transient failure (a slow node reporting back): the
   // node rejoins with its block store intact, and any location the NameNode
-  // has not yet pruned becomes servable again.
+  // has not yet pruned becomes servable again.  revive_rack and revive_all
+  // revive each node through revive_node.
   void revive_node(NodeId node);
   void revive_rack(RackId rack);
   void revive_all();
@@ -219,12 +223,12 @@ class MiniCfs {
   // transient stall with all state intact).
   //
   // Reconciliation: namespace locations naming this node for blocks the
-  // reopened store no longer holds are pruned (a later
-  // restore_redundancy() repairs them); surviving blocks the namespace
-  // still knows are re-registered; surviving blocks the namespace has
-  // forgotten entirely are discarded from the store.  The node is down from
-  // the moment its store is reopened until the reconciliation is done, so a
-  // read never picks a location the reopened store does not hold.
+  // reopened store no longer holds are pruned (a later RepairManager pass
+  // repairs them); surviving blocks the namespace still knows are
+  // re-registered; surviving blocks the namespace has forgotten entirely are
+  // discarded from the store.  The node is down from the moment its store is
+  // reopened until the reconciliation is done, so a read never picks a
+  // location the reopened store does not hold.
   struct RestartReport {
     int64_t blocks_recovered = 0;     // blocks the reopened store holds
     int64_t locations_pruned = 0;     // namespace locations dropped
@@ -270,21 +274,6 @@ class MiniCfs {
   // (rack-fault-tolerant repairs place the rebuilt block elsewhere).  Empty
   // when the block is not part of a known stripe.
   std::set<NodeId> live_stripe_nodes(BlockId block) const;
-
-  // Scans every block and restores redundancy after failures (HDFS's
-  // ReplicationMonitor + RaidNode block-fixer roles):
-  //   * replicated blocks with fewer than r live copies are re-replicated
-  //     from a surviving copy onto fresh nodes (preferring unused racks);
-  //   * erasure-coded blocks with no live copy are rebuilt by decoding the
-  //     stripe onto a fresh node;
-  //   * blocks with no live copy and no decodable stripe are reported
-  //     unrecoverable.
-  struct RecoveryReport {
-    int re_replicated = 0;   // replica copies created
-    int repaired = 0;        // blocks rebuilt via decoding
-    int unrecoverable = 0;   // blocks lost for good
-  };
-  RecoveryReport restore_redundancy();
 
   // ---- snapshots (cfs/checkpoint.h) ----------------------------------------
   ClusterImage export_image() const;

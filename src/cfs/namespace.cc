@@ -58,13 +58,6 @@ std::optional<std::vector<NodeId>> NamespaceShards::find_locations(
   return it->second;
 }
 
-void NamespaceShards::set_locations(BlockId block,
-                                    std::vector<NodeId> locations) {
-  Shard& shard = *shards_[block_shard(block)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.locations[block] = std::move(locations);
-}
-
 bool NamespaceShards::update_locations(
     BlockId block, const std::function<void(std::vector<NodeId>&)>& fn) {
   Shard& shard = *shards_[block_shard(block)];

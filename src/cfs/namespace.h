@@ -53,7 +53,7 @@ struct BlockStatus {
   bool encoded = false;            // the stripe finished encoding
 };
 
-// One-epoch snapshot of the NameNode metadata.  Recovery sweeps and the
+// One-epoch snapshot of the NameNode metadata.  Block reports and the
 // failure/repair subsystem iterate over this instead of taking NameNode
 // locks once per block.
 struct NamespaceSnapshot {
@@ -74,7 +74,6 @@ class NamespaceShards {
 
   // ---- block point ops (one shard lock) ---------------------------------
   std::optional<std::vector<NodeId>> find_locations(BlockId block) const;
-  void set_locations(BlockId block, std::vector<NodeId> locations);
   // Applies `fn` to the block's registered location vector.  Returns false
   // (without calling fn) when the block is unknown.
   bool update_locations(BlockId block,

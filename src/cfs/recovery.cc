@@ -1,5 +1,5 @@
-// Redundancy restoration after failures — MiniCfs::restore_redundancy and
-// the block-status introspection it relies on.
+// The repair primitives failure::RepairManager drives (block-status
+// introspection, target choice, re-replication) and cluster images.
 #include <algorithm>
 #include <set>
 
@@ -86,75 +86,6 @@ void MiniCfs::replicate_block(BlockId block, NodeId dst) {
   transport_->transfer(src, dst, config_.block_size);
   register_copy(block, dst, fetch(src, block));
 }
-
-MiniCfs::RecoveryReport MiniCfs::restore_redundancy() {
-  RecoveryReport report;
-  // One NameNode lock per pass, not one per block: repairs then re-verify
-  // per block through repair_block/replicate_block, which lock as needed.
-  const NamespaceSnapshot snap = namespace_snapshot();
-
-  for (const auto& [block, status] : snap.blocks) {
-    std::vector<NodeId> live;
-    for (const NodeId n : status.locations) {
-      if (node_alive_[static_cast<size_t>(n)]) live.push_back(n);
-    }
-    const int target = status.encoded ? 1 : config_.placement.replication;
-    if (static_cast<int>(live.size()) >= target) {
-      // Still prune dead locations so later reads don't retry them.
-      if (live.size() != status.locations.size()) {
-        ns_.set_locations(block, live);
-      }
-      continue;
-    }
-
-    if (live.empty()) {
-      if (!status.encoded) {
-        ++report.unrecoverable;
-        continue;
-      }
-      // Rebuild via erasure decoding onto a fresh live node picked uniformly
-      // at random, preferring a rack holding no other block of the stripe,
-      // then a node holding none.
-      std::set<NodeId> holders;
-      const StripeMeta& meta = snap.stripes.at(status.stripe);
-      std::vector<BlockId> siblings = meta.data_blocks;
-      siblings.insert(siblings.end(), meta.parity_blocks.begin(),
-                      meta.parity_blocks.end());
-      for (const BlockId sibling : siblings) {
-        const auto it = snap.blocks.find(sibling);
-        if (it == snap.blocks.end()) continue;
-        for (const NodeId n : it->second.locations) {
-          if (node_alive_[static_cast<size_t>(n)]) holders.insert(n);
-        }
-      }
-      const NodeId target_node = pick_repair_target({}, holders);
-      if (target_node == kInvalidNode) {
-        ++report.unrecoverable;
-        continue;
-      }
-      try {
-        repair_block(block, target_node);
-        ++report.repaired;
-      } catch (const std::runtime_error&) {
-        ++report.unrecoverable;
-      }
-      continue;
-    }
-
-    // Under-replicated: copy from a live replica onto fresh nodes picked
-    // uniformly at random, preferring racks not already holding a copy.
-    while (static_cast<int>(live.size()) < target) {
-      const NodeId dst = pick_repair_target(live);
-      if (dst == kInvalidNode) break;  // cluster too degraded to reach r
-      replicate_block(block, dst);
-      live.push_back(dst);
-      ++report.re_replicated;
-    }
-    ns_.set_locations(block, live);
-  }
-  return report;
-}
-
 
 ClusterImage MiniCfs::export_image() const {
   ClusterImage image;

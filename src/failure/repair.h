@@ -1,6 +1,6 @@
-// Prioritized, throttled repair — the replacement for MiniCfs's monolithic
-// restore_redundancy() sweep (HDFS ReplicationMonitor + RaidNode BlockFixer
-// as a continuous service instead of a one-shot pass).
+// Prioritized, throttled repair — the one path that restores redundancy
+// after failures (HDFS ReplicationMonitor + RaidNode BlockFixer as a
+// continuous service).  A one-shot sweep is schedule_scan() then drain().
 //
 // Blocks needing work enter a priority queue keyed by *remaining redundancy*:
 // how many further failures the block survives before data loss.  A lost

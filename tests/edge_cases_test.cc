@@ -12,6 +12,7 @@
 
 #include "cfs/minicfs.h"
 #include "erasure/rs.h"
+#include "failure/repair.h"
 #include "placement/ear.h"
 #include "placement/monitor.h"
 #include "placement/random_replication.h"
@@ -266,7 +267,9 @@ TEST(EdgeCases, ReviveNodeRacingEncode) {
     cfs.encode_stripe(stripe);
   }
   EXPECT_TRUE(cfs.is_encoded(stripe));
-  cfs.restore_redundancy();
+  failure::RepairManager repair(cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  repair.drain();
   const cfs::StripeMeta meta = cfs.stripe_meta(stripe);
   ASSERT_EQ(meta.data_blocks.size(), 4u);
   ASSERT_EQ(meta.parity_blocks.size(), 2u);

@@ -70,6 +70,13 @@ std::map<BlockId, std::vector<uint8_t>> load_stripes(cfs::MiniCfs& cfs,
   return payloads;
 }
 
+// One synchronous repair pass over the whole namespace.
+RepairManager::Report repair_all(cfs::MiniCfs& cfs) {
+  RepairManager repair(cfs, RepairConfig{});
+  repair.schedule_scan();
+  return repair.drain();
+}
+
 // ---- events ---------------------------------------------------------------
 
 TEST(FailureEvents, FormatParseRoundTrip) {
@@ -392,6 +399,43 @@ TEST(RepairManager, GivesUpAfterMaxAttempts) {
   EXPECT_GE(report.unrecoverable, 1);
   EXPECT_GE(report.retries, 2);  // max_attempts - 1 requeues for that block
   EXPECT_EQ(repair.queue_depth(), 0u);
+}
+
+TEST(RepairManager, DrainIsDeterministic) {
+  // Two clusters from one seed, half their stripes encoded, lose the same
+  // rack and node: drain() must repair both identically.  The bench_ext_qos
+  // off/on payload digest and the chaos replay rest on this.
+  struct Outcome {
+    RepairManager::Report report;
+    std::map<BlockId, std::vector<NodeId>> locations;
+  };
+  const auto run = [] {
+    auto cfs = make_cfs(small_config());
+    load_stripes(*cfs, 6);
+    const std::vector<StripeId> stripes = cfs->sealed_stripes();
+    for (size_t i = 0; i < stripes.size(); i += 2) {
+      cfs->encode_stripe(stripes[i]);
+    }
+    cfs->kill_rack(3);
+    cfs->kill_node(9);  // rack 2
+    RepairManager repair(*cfs, RepairConfig{});
+    repair.schedule_scan();
+    Outcome out;
+    out.report = repair.drain();
+    for (const BlockId b : cfs->all_blocks()) {
+      out.locations[b] = cfs->block_locations(b);
+    }
+    return out;
+  };
+  const Outcome a = run();
+  const Outcome b = run();
+  EXPECT_GT(a.report.repaired, 0);
+  EXPECT_GT(a.report.re_replicated, 0);
+  EXPECT_EQ(a.report.repaired, b.report.repaired);
+  EXPECT_EQ(a.report.re_replicated, b.report.re_replicated);
+  EXPECT_EQ(a.report.unrecoverable, b.report.unrecoverable);
+  EXPECT_EQ(a.report.bytes_moved, b.report.bytes_moved);
+  EXPECT_EQ(a.locations, b.locations);
 }
 
 TEST(RepairManager, LiveWorkersMatchDrainSemantics) {
@@ -782,7 +826,7 @@ TEST(Recovery, RepairTargetsAreSpreadUniformly) {
   const NodeId victim = 5;
   const auto before = cfs->namespace_snapshot();
   cfs->kill_node(victim);
-  ASSERT_GT(cfs->restore_redundancy().re_replicated, 3);
+  ASSERT_GT(repair_all(*cfs).re_replicated, 3);
   std::set<NodeId> targets;
   for (const auto& [block, status] : before.blocks) {
     const auto& locs = status.locations;
@@ -801,43 +845,32 @@ TEST(Recovery, RackLossRepairsNeverShareANodeWithinAStripe) {
   // RS(6,4) over 6 racks of 2 nodes: each stripe has a block in every
   // rack, so once a rack dies every live rack already holds one.  The
   // rebuilt block must then go to the other node of a used rack, never to
-  // a node holding a sibling, whichever repair path runs.
-  for (const bool manager : {false, true}) {
-    SCOPED_TRACE(manager ? "RepairManager::drain" : "restore_redundancy");
-    cfs::CfsConfig cfg = small_config(6, 2, /*replication=*/2);
-    cfg.placement.code = CodeParams{6, 4};
-    auto cfs = make_cfs(cfg);
-    load_stripes(*cfs, 6);
-    const std::vector<StripeId> stripes = cfs->sealed_stripes();
-    for (const StripeId s : stripes) cfs->encode_stripe(s);
-    cfs->kill_rack(0);
-    int64_t repaired = 0;
-    if (manager) {
-      RepairManager repair(*cfs, RepairConfig{});
-      repair.schedule_rack(0);
-      const auto report = repair.drain();
-      EXPECT_EQ(report.unrecoverable, 0);
-      repaired = report.repaired;
-    } else {
-      const auto report = cfs->restore_redundancy();
-      EXPECT_EQ(report.unrecoverable, 0);
-      repaired = report.repaired;
-    }
-    EXPECT_EQ(repaired, static_cast<int64_t>(stripes.size()));
-    for (const StripeId s : stripes) {
-      const cfs::StripeMeta meta = cfs->stripe_meta(s);
-      std::map<NodeId, int> per_node;
-      for (const auto* ids : {&meta.data_blocks, &meta.parity_blocks}) {
-        for (const BlockId b : *ids) {
-          for (const NodeId n : cfs->block_locations(b)) {
-            if (cfs->node_alive(n)) ++per_node[n];
-          }
+  // a node holding a sibling.
+  cfs::CfsConfig cfg = small_config(6, 2, /*replication=*/2);
+  cfg.placement.code = CodeParams{6, 4};
+  auto cfs = make_cfs(cfg);
+  load_stripes(*cfs, 6);
+  const std::vector<StripeId> stripes = cfs->sealed_stripes();
+  for (const StripeId s : stripes) cfs->encode_stripe(s);
+  cfs->kill_rack(0);
+  RepairManager repair(*cfs, RepairConfig{});
+  repair.schedule_rack(0);
+  const auto report = repair.drain();
+  EXPECT_EQ(report.unrecoverable, 0);
+  EXPECT_EQ(report.repaired, static_cast<int64_t>(stripes.size()));
+  for (const StripeId s : stripes) {
+    const cfs::StripeMeta meta = cfs->stripe_meta(s);
+    std::map<NodeId, int> per_node;
+    for (const auto* ids : {&meta.data_blocks, &meta.parity_blocks}) {
+      for (const BlockId b : *ids) {
+        for (const NodeId n : cfs->block_locations(b)) {
+          if (cfs->node_alive(n)) ++per_node[n];
         }
       }
-      EXPECT_EQ(per_node.size(), 6u) << "stripe " << s;
-      for (const auto& [node, count] : per_node) {
-        EXPECT_EQ(count, 1) << "stripe " << s << " node " << node;
-      }
+    }
+    EXPECT_EQ(per_node.size(), 6u) << "stripe " << s;
+    for (const auto& [node, count] : per_node) {
+      EXPECT_EQ(count, 1) << "stripe " << s << " node " << node;
     }
   }
 }
@@ -883,7 +916,7 @@ TEST(Chaos, RackKillMidEncodeCompletesOrRetriesCleanly) {
   cfs->set_transport(std::make_unique<cfs::InstantTransport>(topo));
   cfs->revive_rack(2);
   cfs->revive_rack(5);
-  cfs->restore_redundancy();
+  repair_all(*cfs);
   if (!report.failed.empty()) {
     const auto retry = raid.encode_stripes(report.failed);
     EXPECT_TRUE(retry.failed.empty());
@@ -946,7 +979,8 @@ TEST(Chaos, DetectorRepairAndWritesUnderFailureDriver) {
   repair.stop();
 
   cfs->revive_all();
-  cfs->restore_redundancy();
+  repair.schedule_scan();
+  repair.drain();
   for (const BlockId block : cfs->all_blocks()) {
     EXPECT_NO_THROW(cfs->read_block(block, 0)) << "block " << block;
   }

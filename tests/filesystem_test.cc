@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "failure/repair.h"
 
 namespace ear::cfs {
 namespace {
@@ -141,6 +142,13 @@ TEST(FileSystem, UnknownFileThrows) {
 
 // ------------------------------------------------------------- recovery
 
+// One synchronous repair pass over the whole namespace.
+failure::RepairManager::Report repair_all(MiniCfs& cfs) {
+  failure::RepairManager repair(cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  return repair.drain();
+}
+
 TEST(Recovery, ReReplicatesAfterNodeFailure) {
   const auto cfg = fs_config(false);
   auto cfs = make_cfs(cfg);
@@ -150,7 +158,7 @@ TEST(Recovery, ReReplicatesAfterNodeFailure) {
   const auto locs = cfs->block_locations(id);
   cfs->kill_node(locs[0]);
 
-  const auto report = cfs->restore_redundancy();
+  const auto report = repair_all(*cfs);
   EXPECT_GE(report.re_replicated, 1);
   EXPECT_EQ(report.unrecoverable, 0);
 
@@ -177,7 +185,7 @@ TEST(Recovery, RepairsEncodedBlocksAfterRackFailure) {
       cfs->topology().rack_of(cfs->block_locations(meta.data_blocks[0])[0]);
   cfs->kill_rack(dead);
 
-  const auto report = cfs->restore_redundancy();
+  const auto report = repair_all(*cfs);
   EXPECT_EQ(report.unrecoverable, 0);
   // Every stripe block has a live copy now.
   for (const BlockId b : meta.data_blocks) {
@@ -193,7 +201,7 @@ TEST(Recovery, ReportsUnrecoverableReplicatedBlock) {
   std::vector<uint8_t> block(static_cast<size_t>(cfg.block_size), 1);
   const BlockId id = cfs->write_block(block);
   for (const NodeId n : cfs->block_locations(id)) cfs->kill_node(n);
-  const auto report = cfs->restore_redundancy();
+  const auto report = repair_all(*cfs);
   EXPECT_GE(report.unrecoverable, 1);
 }
 
@@ -202,7 +210,7 @@ TEST(Recovery, IdempotentWhenHealthy) {
   auto cfs = make_cfs(cfg);
   std::vector<uint8_t> block(static_cast<size_t>(cfg.block_size), 2);
   for (int i = 0; i < 10; ++i) cfs->write_block(block);
-  const auto report = cfs->restore_redundancy();
+  const auto report = repair_all(*cfs);
   EXPECT_EQ(report.re_replicated, 0);
   EXPECT_EQ(report.repaired, 0);
   EXPECT_EQ(report.unrecoverable, 0);
@@ -217,7 +225,7 @@ TEST(Recovery, ReReplicationPrefersNewRacks) {
   // Kill the doubled rack's nodes (replicas 2+3 share a rack).
   const RackId doubled = cfs->topology().rack_of(locs[1]);
   cfs->kill_rack(doubled);
-  cfs->restore_redundancy();
+  repair_all(*cfs);
   const auto fresh = cfs->block_locations(id);
   ASSERT_EQ(fresh.size(), 3u);
   std::set<RackId> racks;

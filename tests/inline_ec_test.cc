@@ -5,6 +5,7 @@
 
 #include "cfs/minicfs.h"
 #include "common/rng.h"
+#include "failure/repair.h"
 
 namespace ear::cfs {
 namespace {
@@ -139,7 +140,9 @@ TEST(InlineEc, RecoveryHandlesInlineStripes) {
   const StripeId stripe = cfs->write_encoded_stripe(views(data));
   const StripeMeta meta = cfs->stripe_meta(stripe);
   cfs->kill_node(cfs->block_locations(meta.data_blocks[0])[0]);
-  const auto report = cfs->restore_redundancy();
+  failure::RepairManager repair(*cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  const auto report = repair.drain();
   EXPECT_EQ(report.repaired, 1);
   EXPECT_EQ(report.unrecoverable, 0);
 }

@@ -13,6 +13,7 @@
 #include "cfs/minicfs.h"
 #include "cfs/raidnode.h"
 #include "common/rng.h"
+#include "failure/repair.h"
 #include "placement/monitor.h"
 
 namespace ear::cfs {
@@ -96,7 +97,9 @@ TEST(Integration, FullLifecycleWithRackFailuresAndRecovery) {
   }
 
   // 6. Restore redundancy, revive the racks, verify again.
-  const auto recovery = cfs->restore_redundancy();
+  failure::RepairManager repair(*cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  const auto recovery = repair.drain();
   EXPECT_EQ(recovery.unrecoverable, 0);
   EXPECT_GT(recovery.repaired + recovery.re_replicated, 0);
   cfs->revive_all();

@@ -211,7 +211,8 @@ TEST(NameNodeConcurrency, WritersEncodersRepairersSnapshottersRace) {
 
   // Mop up: restore redundancy and retry stripes whose encode raced the
   // victim's death.
-  cfs->restore_redundancy();
+  repair.schedule_scan();
+  repair.drain();
   {
     RaidNode raid(*cfs, /*map_slots=*/2);
     std::vector<StripeId> retry;

@@ -19,6 +19,7 @@
 #include "cfs/minicfs.h"
 #include "cfs/transport.h"
 #include "common/rng.h"
+#include "failure/repair.h"
 #include "qos/qos.h"
 #include "qos/scheduler.h"
 
@@ -401,7 +402,9 @@ std::vector<std::vector<uint8_t>> payload_sweep(bool qos_on) {
   }
   for (const StripeId s : cfs.sealed_stripes()) cfs.encode_stripe(s);
   cfs.kill_node(2);
-  cfs.restore_redundancy();
+  failure::RepairManager repair(cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  repair.drain();
 
   std::vector<std::vector<uint8_t>> payloads;
   QosScope scope(kFgRead, 1);

@@ -315,6 +315,28 @@ TEST(ReadPathCache, RepairAndReviveInvalidate) {
   EXPECT_EQ(cfs->read_block(victim, reader), originals.at(victim));
 }
 
+TEST(ReadPathCache, ReviveAllInvalidatesLikeReviveNode) {
+  const auto cfg = readpath_config();
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  auto cfs = sealed_cluster(cfg, 0, &originals, nullptr);
+  const BlockId block = originals.begin()->first;
+  const auto locs = cfs->block_locations(block);
+  NodeId reader = 0;
+  while (std::find(locs.begin(), locs.end(), reader) != locs.end()) ++reader;
+
+  EXPECT_EQ(cfs->read_block(block, reader), originals.at(block));
+  const BlockCache* cache = cfs->block_cache();
+  ASSERT_NE(cache, nullptr);
+  ASSERT_GT(cache->entries(), 0u);
+
+  // Every block lives on some node and revive_all revives every node, so
+  // no cached entry survives it.
+  cfs->kill_node(locs[0]);
+  cfs->revive_all();
+  EXPECT_EQ(cache->entries(), 0u);
+  EXPECT_EQ(cfs->read_block(block, reader), originals.at(block));
+}
+
 // ------------------------------------------- degraded-read fan-out property
 
 // Property: for seeded random single-node failures, a degraded read is

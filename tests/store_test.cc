@@ -28,6 +28,7 @@
 #include "cfs/minicfs.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "failure/repair.h"
 #include "store/mem_store.h"
 #include "store/mmap_store.h"
 
@@ -692,6 +693,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// One synchronous repair pass over the whole namespace.
+failure::RepairManager::Report repair_all(MiniCfs& cfs) {
+  failure::RepairManager repair(cfs, failure::RepairConfig{});
+  repair.schedule_scan();
+  return repair.drain();
+}
+
 std::vector<uint8_t> pattern(BlockId block, size_t size) {
   std::vector<uint8_t> out(size);
   for (size_t i = 0; i < size; ++i) {
@@ -844,7 +852,7 @@ TEST(StoreCfs, RestartNodeMmapRecoversBlocksAndRepairsOnlyTheDelta) {
   // Redundancy repair moves only the lost delta, not the whole node.
   const int64_t before = cfs->transport().cross_rack_bytes() +
                          cfs->transport().intra_rack_bytes();
-  const auto recovery = cfs->restore_redundancy();
+  const auto recovery = repair_all(*cfs);
   const int64_t repaired_bytes = cfs->transport().cross_rack_bytes() +
                                  cfs->transport().intra_rack_bytes() - before;
   EXPECT_EQ(recovery.re_replicated + recovery.repaired, 1);
@@ -861,7 +869,7 @@ TEST(StoreCfs, RestartNodeMmapRecoversBlocksAndRepairsOnlyTheDelta) {
   const int64_t held2 = cfs->blocks_stored_on(victim);
   ASSERT_GT(held2, 0);
   cfs->kill_node(victim);
-  cfs->restore_redundancy();
+  repair_all(*cfs);
   const auto report2 = cfs->restart_node(victim);
   EXPECT_EQ(report2.blocks_recovered, held2);
   EXPECT_EQ(report2.locations_pruned, 0);
@@ -894,7 +902,7 @@ TEST(StoreCfs, RestartNodeMemLosesEverythingAndRebuildsInFull) {
   EXPECT_EQ(cfs->blocks_stored_on(victim), 0);
 
   // Full rebuild: every block the node held needs redundancy work.
-  const auto recovery = cfs->restore_redundancy();
+  const auto recovery = repair_all(*cfs);
   EXPECT_GE(recovery.re_replicated + recovery.repaired, held);
   for (const auto& [id, data] : contents) {
     EXPECT_EQ(cfs->read_block(id, 1), data);
