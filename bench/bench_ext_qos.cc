@@ -413,8 +413,19 @@ int main(int argc, char** argv) {
     mp.window_floor_s = 1.2;
     mp.readers_per_tenant = 1;
   }
+  // Registry instruments are process-wide and FIFO grants count in
+  // qos.class.* too, so the QoS run's class bytes are a delta across it.
+  const auto class_bytes = [](int c) {
+    return obs::Registry::instance()
+        .counter(qos::class_metric(static_cast<qos::TrafficClass>(c), "bytes"))
+        .value();
+  };
+  int64_t before_qos[qos::kClassCount] = {};
   MixOutcome mix[2];
   for (const bool qos_on : {false, true}) {
+    if (qos_on) {
+      for (int c = 0; c < qos::kClassCount; ++c) before_qos[c] = class_bytes(c);
+    }
     mix[qos_on ? 1 : 0] = run_mix(qos_on, mp);
     const MixOutcome& m = mix[qos_on ? 1 : 0];
     const char* mode = qos_on ? "QoS" : "FIFO";
@@ -450,16 +461,12 @@ int main(int argc, char** argv) {
   bench::note("repair completes under its byte budget in both modes; QoS "
               "enforces it as the kRepair class rate");
 
-  // qos.class.* byte counters from the QoS run (registry instruments are
-  // process-wide; the FIFO run adds nothing to them).
+  // qos.class.* byte counters, QoS run only.
   for (int c = 0; c < qos::kClassCount; ++c) {
-    const auto cls = static_cast<qos::TrafficClass>(c);
     bench::row("  %-30s %12lld",
-               qos::class_metric(cls, "bytes").c_str(),
-               static_cast<long long>(
-                   obs::Registry::instance()
-                       .counter(qos::class_metric(cls, "bytes"))
-                       .value()));
+               qos::class_metric(static_cast<qos::TrafficClass>(c), "bytes")
+                   .c_str(),
+               static_cast<long long>(class_bytes(c) - before_qos[c]));
   }
 
   // ---- Part 3: byte identity ----------------------------------------------

@@ -1,45 +1,34 @@
 #include "cfs/transport.h"
 
 #include <algorithm>
-#include <memory>
+#include <iterator>
+#include <limits>
 #include <thread>
 
 #include "obs/trace.h"
 
 namespace ear::cfs {
 
+namespace {
+
+// FIFO is the fair scheduler with nothing to arbitrate: an unbounded grant
+// horizon grants every request on arrival, and without class budgets none
+// is ever deferred.  The repair budget then stays the RepairManager's.
+qos::QosConfig link_discipline(const qos::QosConfig& qos) {
+  if (qos.enable) return qos;
+  qos::QosConfig fifo = qos;
+  fifo.grant_horizon = std::numeric_limits<Seconds>::infinity();
+  std::fill(std::begin(fifo.class_rate), std::end(fifo.class_rate), 0.0);
+  return fifo;
+}
+
+}  // namespace
+
 ThrottledTransport::ThrottledTransport(const Topology& topo,
                                        const ThrottleConfig& config)
-    : topo_(topo), config_(config) {
-  const int net_links = 2 * topo.node_count() + 2 * topo.rack_count();
-  const int total = net_links + topo.node_count();  // + per-node disks
-  links_.reserve(static_cast<size_t>(total));
-  const auto now = Clock::now();
-  for (int i = 0; i < total; ++i) {
-    auto link = std::make_unique<Link>();
-    link->available_at = now;
-    double bw;
-    if (i >= net_links) {
-      bw = config.disk_bw > 0 ? config.disk_bw : 1e18;  // 0 = free
-    } else if (i < 2 * topo.node_count()) {
-      bw = config.node_bw;
-    } else if (i < 2 * topo.node_count() + topo.rack_count()) {
-      bw = config.rack_uplink_bw;
-    } else {
-      bw = config.rack_downlink_bw > 0 ? config.rack_downlink_bw
-                                       : config.rack_uplink_bw;
-    }
-    link->seconds_per_byte = 1.0 / bw;
-    links_.push_back(std::move(link));
-  }
-
-  if (config_.qos.enable) {
-    std::vector<double> spb;
-    spb.reserve(links_.size());
-    for (const auto& link : links_) spb.push_back(link->seconds_per_byte);
-    qos_ = std::make_unique<qos::QosScheduler>(spb, config_.qos);
-  }
-
+    : topo_(topo),
+      config_(config),
+      links_(link_seconds_per_byte(), link_discipline(config.qos)) {
   auto& reg = obs::Registry::instance();
   ctr_cross_ = &reg.counter("testbed.net.cross_rack_bytes");
   ctr_intra_ = &reg.counter("testbed.net.intra_rack_bytes");
@@ -50,6 +39,26 @@ ThrottledTransport::ThrottledTransport(const Topology& topo,
 }
 
 ThrottledTransport::~ThrottledTransport() { stop_sampler(); }
+
+std::vector<double> ThrottledTransport::link_seconds_per_byte() const {
+  std::vector<double> spb;
+  spb.reserve(static_cast<size_t>(link_count()));
+  for (int i = 0; i < link_count(); ++i) {
+    double bw;
+    if (i >= disk(0)) {
+      bw = config_.disk_bw > 0 ? config_.disk_bw : 1e18;  // 0 = free
+    } else if (i < rack_up(0)) {
+      bw = config_.node_bw;
+    } else if (i < rack_down(0)) {
+      bw = config_.rack_uplink_bw;
+    } else {
+      bw = config_.rack_downlink_bw > 0 ? config_.rack_downlink_bw
+                                        : config_.rack_uplink_bw;
+    }
+    spb.push_back(1.0 / bw);
+  }
+  return spb;
+}
 
 void ThrottledTransport::local_read(NodeId node, Bytes size) {
   if (config_.disk_bw <= 0 || size == 0) return;
@@ -66,21 +75,11 @@ void ThrottledTransport::local_read(NodeId node, Bytes size) {
 
 ThrottledTransport::Clock::time_point ThrottledTransport::reserve(
     int idx, Bytes bytes, bool charge) {
-  // Under QoS the link's slot is granted in weighted virtual-finish order
-  // for the calling thread's ambient (class, tenant) flow; otherwise the
-  // original FIFO timeline below applies.  Either way the reservation is
-  // for the same bytes on the same link — only its start time differs.
-  if (qos_) return qos_->request(idx, qos::current_context(), bytes, charge);
-  Link& link = *links_[static_cast<size_t>(idx)];
-  std::lock_guard<std::mutex> lock(link.mu);
-  const auto now = Clock::now();
-  const auto start = std::max(now, link.available_at);
-  const auto duration = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(static_cast<double>(bytes) *
-                                    link.seconds_per_byte));
-  link.available_at = start + duration;
-  link.busy_seconds += static_cast<double>(bytes) * link.seconds_per_byte;
-  return link.available_at;
+  // The slot goes to the calling thread's ambient (class, tenant) flow: in
+  // arrival order under FIFO, in weighted virtual-finish order under QoS.
+  // Either way the reservation is for the same bytes on the same link —
+  // only its start time differs.
+  return links_.request(idx, qos::current_context(), bytes, charge);
 }
 
 void ThrottledTransport::transfer(NodeId src, NodeId dst, Bytes size) {
@@ -155,7 +154,7 @@ std::string ThrottledTransport::link_label(int idx) const {
 
 void ThrottledTransport::start_sampler(Seconds period) {
   sampler_period_ = period;
-  prev_busy_.assign(links_.size(), 0.0);
+  prev_busy_.assign(static_cast<size_t>(link_count()), 0.0);
   last_sample_ = Clock::now();
   sampler_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(sampler_mu_);
@@ -190,32 +189,17 @@ void ThrottledTransport::sample_links() {
 
   int64_t total_queued = 0;
   double worst_share = 0;
-  for (size_t i = 0; i < links_.size(); ++i) {
-    Link& link = *links_[i];
-    int64_t queued_bytes;
-    double busy;
-    if (qos_) {
-      const auto s = qos_->sample(static_cast<int>(i), now);
-      queued_bytes = s.queued_bytes;
-      busy = s.busy_seconds;
-    } else {
-      double backlog_s;
-      {
-        std::lock_guard<std::mutex> lock(link.mu);
-        backlog_s = std::max(
-            0.0,
-            std::chrono::duration<double>(link.available_at - now).count());
-        busy = link.busy_seconds;
-      }
-      queued_bytes = static_cast<int64_t>(backlog_s / link.seconds_per_byte);
-    }
+  for (int i = 0; i < link_count(); ++i) {
+    const auto s = links_.sample(i, now);
+    double& prev_busy = prev_busy_[static_cast<size_t>(i)];
     const double share =
-        window > 0 ? std::min(1.0, (busy - prev_busy_[i]) / window) : 0.0;
-    prev_busy_[i] = busy;
-    total_queued += queued_bytes;
+        window > 0 ? std::min(1.0, (s.busy_seconds - prev_busy) / window)
+                   : 0.0;
+    prev_busy = s.busy_seconds;
+    total_queued += s.queued_bytes;
     worst_share = std::max(worst_share, share);
-    obs::trace_counter(link_label(static_cast<int>(i)).c_str(),
-                       {{"queued_bytes", queued_bytes},
+    obs::trace_counter(link_label(i).c_str(),
+                       {{"queued_bytes", s.queued_bytes},
                         {"busy_pct", static_cast<int64_t>(share * 100.0)}});
   }
   auto& reg = obs::Registry::instance();

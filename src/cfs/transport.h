@@ -5,9 +5,13 @@
 // decides how long each movement takes:
 //  * InstantTransport   — functional tests: only byte accounting.
 //  * ThrottledTransport — experiments: every link of the CFS topology
-//    (node up/down, rack up/down) is a fluid FIFO reservation queue with a
-//    configured bandwidth; concurrent transfers contend chunk-by-chunk in
-//    real time, reproducing the cross-rack bottleneck physically.
+//    (node up/down, rack up/down, per-node disk) is a fluid reservation
+//    timeline with a configured bandwidth, kept by a qos::LinkScheduler;
+//    concurrent transfers contend chunk-by-chunk in real time, reproducing
+//    the cross-rack bottleneck physically.  With qos.enable off the
+//    scheduler runs as FIFO (unbounded grant horizon, no class budgets:
+//    every reservation is granted in arrival order); with it on, in
+//    weighted fair order.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +19,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -60,10 +63,11 @@ class Transport {
   virtual int64_t cross_rack_bytes() const = 0;
   virtual int64_t intra_rack_bytes() const = 0;
 
-  // True when link time is granted by the QoS fair-share scheduler rather
-  // than FIFO arrival order.  Components with private throttles (the
-  // RepairManager's token bucket) stand down when the transport already
-  // enforces a class budget, so repair is not throttled twice.
+  // True when link time is granted in weighted fair order under the QoS
+  // class budgets rather than in FIFO arrival order.  Components with
+  // private throttles (the RepairManager's token bucket) stand down when
+  // the transport already enforces a class budget, so repair is not
+  // throttled twice.
   virtual bool qos_enabled() const { return false; }
 };
 
@@ -116,10 +120,12 @@ struct ThrottleConfig {
   // and with encode now ~16x faster than scalar the pipeline wants finer
   // chunks so transfer/compute overlap dominates, not per-chunk compute.
   Bytes pipeline_chunk = 256_KB;
-  // Fair-share scheduling (qos/scheduler.h).  With qos.enable the FIFO
-  // reservation timeline of every link is replaced by weighted fair queuing
-  // over (traffic class, tenant) flows; transfers are otherwise identical —
-  // same paths, same chunks, same bytes (invariant 11).
+  // Link scheduling (qos/scheduler.h).  Every link is a LinkScheduler
+  // either way.  Off: FIFO — the grant horizon is unbounded and class_rate
+  // is ignored, so each reservation is granted on arrival and weights never
+  // decide an order.  On: weighted fair queuing over (traffic class,
+  // tenant) flows under the class budgets.  Transfers are otherwise
+  // identical — same paths, same chunks, same bytes (invariant 11).
   qos::QosConfig qos;
 };
 
@@ -140,23 +146,13 @@ class ThrottledTransport final : public Transport {
   int64_t cross_rack_bytes() const override { return cross_; }
   int64_t intra_rack_bytes() const override { return intra_; }
 
-  bool qos_enabled() const override { return qos_ != nullptr; }
-  // The scheduler behind qos_enabled(); tests poke budgets through it.
-  qos::QosScheduler* qos_scheduler() { return qos_.get(); }
+  bool qos_enabled() const override { return config_.qos.enable; }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  // Fluid FIFO reservation: each link hands out time slots; a chunk on a
-  // link occupies chunk/bw seconds starting no earlier than the link's
-  // previous reservation end.
-  struct Link {
-    std::mutex mu;
-    Clock::time_point available_at{};
-    double seconds_per_byte = 0;
-    double busy_seconds = 0;  // cumulative reserved time (sampler input)
-  };
-
+  // Link table layout: node up-links, node down-links, rack up-links, rack
+  // down-links, then one disk per node.
   int node_up(NodeId n) const { return n; }
   int node_down(NodeId n) const { return topo_.node_count() + n; }
   int rack_up(RackId r) const { return 2 * topo_.node_count() + r; }
@@ -166,10 +162,14 @@ class ThrottledTransport final : public Transport {
   int disk(NodeId n) const {
     return 2 * topo_.node_count() + 2 * topo_.rack_count() + n;
   }
+  int link_count() const { return disk(topo_.node_count()); }
+  // Per-link seconds per byte in table order (disk_bw 0 = a free disk).
+  // Reads only topo_ and config_, so the constructor builds links_ from it.
+  std::vector<double> link_seconds_per_byte() const;
 
   // Reserves `bytes` on link `idx`; returns when the reservation ends.
   // `charge` marks the one hop per chunk that draws the QoS class budget
-  // (no effect on the FIFO path).
+  // (FIFO sets no budget, so it only steers the qos.class.* counters).
   Clock::time_point reserve(int idx, Bytes bytes, bool charge = true);
 
   void do_transfer(NodeId src, NodeId dst, Bytes size, bool wait);
@@ -185,8 +185,7 @@ class ThrottledTransport final : public Transport {
 
   Topology topo_;
   ThrottleConfig config_;
-  std::vector<std::unique_ptr<Link>> links_;
-  std::unique_ptr<qos::QosScheduler> qos_;  // non-null when config_.qos.enable
+  qos::QosScheduler links_;  // one LinkScheduler per link of the table
   std::atomic<int64_t> cross_{0};
   std::atomic<int64_t> intra_{0};
 

@@ -79,21 +79,13 @@ size_t FairQueueCore::class_size(int class_idx) const {
   return class_count_[class_idx];
 }
 
-Bytes FairQueueCore::min_bytes(int class_idx) const {
-  Bytes best = 0;
-  for (const auto& [tag, r] : queue_) {
-    if (r.class_idx != class_idx) continue;
-    if (best == 0 || r.bytes < best) best = r.bytes;
-  }
-  return best;
-}
-
 // ------------------------------------------------------------ LinkScheduler
 
 LinkScheduler::LinkScheduler(double seconds_per_byte, const QosConfig& config)
     : seconds_per_byte_(seconds_per_byte),
-      config_(config),
-      horizon_(to_duration(config.grant_horizon)),
+      horizon_(std::isinf(config.grant_horizon)
+                   ? Clock::duration::max()
+                   : to_duration(config.grant_horizon)),
       core_(config) {}
 
 LinkScheduler::Clock::time_point LinkScheduler::request(
@@ -105,7 +97,7 @@ LinkScheduler::Clock::time_point LinkScheduler::request(
   refill_locked(now);
 
   // Fast path: idle link within the horizon, nobody queued, budget ok.
-  if (core_.empty() && available_at_ <= now + horizon_ &&
+  if (core_.empty() && available_at_ - now <= horizon_ &&
       (!charge || admit_locked(cls, bytes))) {
     if (charge && buckets_[cls].rate > 0) buckets_[cls].tokens -= bytes;
     auto start = std::max(now, available_at_);
@@ -157,7 +149,7 @@ void LinkScheduler::refill_locked(Clock::time_point now) {
 void LinkScheduler::try_grant_locked(Clock::time_point now) {
   refill_locked(now);
   bool granted_any = false;
-  while (!core_.empty() && available_at_ <= now + horizon_) {
+  while (!core_.empty() && available_at_ - now <= horizon_) {
     FairQueueCore::Request r;
     if (!core_.grant_next(
             [this](const FairQueueCore::Request& req) {
@@ -184,7 +176,7 @@ void LinkScheduler::try_grant_locked(Clock::time_point now) {
 
 LinkScheduler::Clock::time_point LinkScheduler::next_event_locked(
     Clock::time_point now) const {
-  if (available_at_ > now + horizon_) return available_at_ - horizon_;
+  if (available_at_ - now > horizon_) return available_at_ - horizon_;
   // Timeline is open, so the queue heads must be waiting on tokens: wake
   // when the soonest capped class with queued work turns positive.
   Clock::time_point soonest = now + std::chrono::milliseconds(50);
@@ -231,7 +223,6 @@ LinkScheduler::Sample LinkScheduler::sample(Clock::time_point now) const {
     s.queued_bytes += static_cast<int64_t>(backlog / seconds_per_byte_);
   }
   s.busy_seconds = busy_seconds_;
-  s.waiting = static_cast<int64_t>(core_.size());
   return s;
 }
 
@@ -309,13 +300,6 @@ QosScheduler::Clock::time_point QosScheduler::request(
     ctr_grants_[c]->add(1);
   }
   return end;
-}
-
-int64_t QosScheduler::total_waiting() const {
-  auto now = Clock::now();
-  int64_t total = 0;
-  for (const auto& link : links_) total += link->sample(now).waiting;
-  return total;
 }
 
 void QosScheduler::controller_loop() {

@@ -1,8 +1,6 @@
-// Weighted fair-share link scheduling (the QoS tentpole; DESIGN.md "QoS &
-// fair-share scheduling").
-//
-// Replaces the FIFO reservation discipline of ThrottledTransport's links
-// with per-link weighted fair queuing over (traffic class, tenant) flows:
+// Link scheduling for ThrottledTransport (DESIGN.md "QoS & fair-share
+// scheduling"): per-link weighted fair queuing over (traffic class, tenant)
+// flows, with FIFO as its degenerate case.
 //
 //  * FairQueueCore — the deterministic WFQ heart: start-time/finish-time
 //    virtual clock (vstart = max(V, flow's last vfinish), vfinish = vstart
@@ -11,12 +9,15 @@
 //    state machine, no clock, no threads — qos_test drives it directly for
 //    the deterministic convergence proofs.
 //
-//  * LinkScheduler — one real link: a fluid reservation timeline (like the
-//    old FIFO Link) plus a FairQueueCore deciding *which* queued request
+//  * LinkScheduler — one real link: a fluid reservation timeline (a chunk
+//    occupies bytes x seconds_per_byte starting no earlier than the previous
+//    reservation's end) plus a FairQueueCore deciding *which* queued request
 //    gets the next timeline slot.  The timeline may run at most
 //    `grant_horizon` seconds ahead of real time; arrivals beyond that wait,
 //    so ordering decisions bind as late as possible (that lateness is what
-//    turns weight ratios into real bandwidth ratios).  Work-conserving: an
+//    turns weight ratios into real bandwidth ratios).  With an unbounded
+//    horizon and no class budgets nothing ever waits, no request enters the
+//    FairQueueCore, and the link is exactly FIFO.  Work-conserving: an
 //    idle link grants immediately, and any backlogged flow inherits idle
 //    classes' share.  Optional per-class token-bucket ceilings (the repair
 //    budget) are enforced at grant time: an over-budget class's requests
@@ -66,7 +67,9 @@ struct QosConfig {
   Seconds rebalance_period = 0.05;
   // How far a link's reservation timeline may run ahead of real time before
   // arrivals queue in virtual-finish order.  Small = late binding (fair);
-  // large degenerates toward the old FIFO.
+  // larger degenerates toward FIFO, and infinity is exactly FIFO (every
+  // request is granted on arrival; with no class_rate, weights never
+  // decide an order).
   Seconds grant_horizon = 0.002;
 };
 
@@ -102,11 +105,8 @@ class FairQueueCore {
                   Request* out);
 
   bool empty() const { return queue_.empty(); }
-  size_t size() const { return queue_.size(); }
   // Queued requests of one class (budget-deferral introspection).
   size_t class_size(int class_idx) const;
-  // Smallest queued request of `class_idx`; 0 when none (token wake hints).
-  Bytes min_bytes(int class_idx) const;
 
  private:
   struct FlowKey {
@@ -152,7 +152,6 @@ class LinkScheduler {
   struct Sample {
     int64_t queued_bytes = 0;   // timeline backlog + waiting requests
     double busy_seconds = 0;    // cumulative reserved seconds
-    int64_t waiting = 0;        // queued (not yet granted) requests
   };
   Sample sample(Clock::time_point now) const;
 
@@ -172,7 +171,8 @@ class LinkScheduler {
   Clock::time_point next_event_locked(Clock::time_point now) const;
 
   const double seconds_per_byte_;
-  const QosConfig config_;
+  // Clock::duration::max() when unbounded; compare `available_at_ - now`
+  // against it, never `now + horizon_`, which would overflow.
   const Clock::duration horizon_;
 
   mutable std::mutex mu_;
@@ -214,11 +214,6 @@ class QosScheduler {
   LinkScheduler::Sample sample(int link, Clock::time_point now) const {
     return links_[static_cast<size_t>(link)]->sample(now);
   }
-
-  const QosConfig& config() const { return config_; }
-
-  // Total queued (not yet granted) requests across all links.
-  int64_t total_waiting() const;
 
  private:
   void controller_loop();

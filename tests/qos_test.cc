@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -233,6 +235,42 @@ TEST(LinkScheduler, BudgetDefersChargedButNotUnchargedHops) {
   t0 = Clock::now();
   link.request(ctx_of(kRepair, 0), kB, /*charge=*/true);
   EXPECT_GT(seconds_since(t0), 0.2);
+}
+
+// FIFO is the unbounded-horizon case: with no class budget nothing ever
+// waits, so no request enters the FairQueueCore and weights never decide an
+// order.  Every reservation below lasts an hour or more, so a bounded
+// horizon would block the second call that long; no timing bound is needed.
+TEST(LinkScheduler, UnboundedHorizonGrantsOnArrivalInCallOrder) {
+  QosConfig cfg;
+  cfg.grant_horizon = std::numeric_limits<Seconds>::infinity();
+  LinkScheduler link(/*seconds_per_byte=*/1.0, cfg);  // bytes = seconds
+
+  // fg-read weighs 4, bg-encode 1: fair queuing would serve fg-read first.
+  const TrafficClass cls[] = {TrafficClass::kBackgroundEncode, kFgRead,
+                              TrafficClass::kBackgroundEncode,
+                              TrafficClass::kBackgroundEncode, kFgRead};
+  const Bytes bytes[] = {3600, 7200, 5400, 3600, 10800};
+  std::vector<Clock::time_point> ends;
+  for (size_t i = 0; i < std::size(bytes); ++i) {
+    ends.push_back(link.request(ctx_of(cls[i], 0), bytes[i]));
+  }
+
+  // Call order, back to back: each reservation starts where the previous
+  // one ended, so end times are exact cumulative byte counts.
+  Bytes total = bytes[0];
+  for (size_t i = 1; i < ends.size(); ++i) {
+    total += bytes[i];
+    EXPECT_EQ((ends[i] - ends[0]).count(),
+              Clock::duration(std::chrono::seconds(total - bytes[0])).count())
+        << "request " << i;
+  }
+  // At the first arrival the whole backlog sits on the timeline and no
+  // request waits beside it.
+  const auto first_start = ends[0] - std::chrono::seconds(bytes[0]);
+  const LinkScheduler::Sample s = link.sample(first_start);
+  EXPECT_EQ(s.queued_bytes, total);
+  EXPECT_EQ(s.busy_seconds, static_cast<double>(total));
 }
 
 // Starvation-freedom: a weight-1 background flow keeps making progress
