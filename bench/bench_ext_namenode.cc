@@ -14,8 +14,17 @@
 //   ./bench_ext_namenode --shards 8 --threads 1,4 --secs 0.5
 //   ./bench_ext_namenode --smoke        # tiny run for sanitizer CI
 //   ./bench_ext_namenode --csv-out namenode.csv
+//
+// Every caught client error is counted by op kind and reason and printed.
+// The run exits 1 on any read error, and on any encode error other than the
+// refusal of a stripe whose writes have not all committed yet (the claim is
+// released and the stripe retried, as the RaidNode would).
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -34,6 +43,34 @@ namespace {
 
 using namespace ear;
 
+// The client op a dice roll drives: 0, 1 and 2 pick one op each, every
+// other value a read.
+enum class OpKind { kWrite, kEncode, kReplicate, kRead };
+constexpr const char* kOpNames[] = {"write", "encode", "replicate", "read"};
+
+// An error message with every digit run replaced by N and the "(...)"
+// detail dropped, so errors of one cause share one reason.
+std::string error_reason(const std::string& what) {
+  std::string out;
+  for (const char ch : what) {
+    if (ch == '(') break;
+    if (std::isdigit(static_cast<unsigned char>(ch))) {
+      if (out.empty() || out.back() != 'N') out.push_back('N');
+    } else {
+      out.push_back(ch);
+    }
+  }
+  while (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
+}
+
+// MiniCfs::encode_stripe's refusal of a sealed stripe whose writes are still
+// in flight: benign, nothing was mutated.
+const std::string kUncommittedRefusal =
+    "encode_stripe: stripe N block N has not committed";
+
+using ErrorCounts = std::map<std::pair<OpKind, std::string>, int64_t>;
+
 struct TrialResult {
   int threads = 0;
   int shards = 0;
@@ -45,6 +82,7 @@ struct TrialResult {
   // mutex, but only for one shard's slice under striping — this is the
   // stall bound striping actually buys, and it shows even on one core.
   double max_stall_s = 0;
+  ErrorCounts errors;  // (op kind, reason) -> caught errors
   double ops_per_s() const { return secs > 0 ? ops / secs : 0; }
 };
 
@@ -81,6 +119,7 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
   std::atomic<int64_t> total_ops{0};
   std::mutex stall_mu;
   double max_stall = 0;
+  ErrorCounts errors;
 
   std::vector<std::thread> clients;
   for (int t = 0; t < threads; ++t) {
@@ -88,17 +127,20 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
       Rng rng(static_cast<uint64_t>(100 + t));
       int64_t ops = 0;
       double worst = 0;
+      ErrorCounts local_errors;
       while (!stop.load(std::memory_order_relaxed)) {
         const uint64_t dice = rng.uniform(32);
+        const auto kind = static_cast<OpKind>(
+            std::min(dice, static_cast<uint64_t>(OpKind::kRead)));
+        StripeId target = kInvalidStripe;
         const auto op_start = std::chrono::steady_clock::now();
         try {
-          if (dice == 0) {
+          if (kind == OpKind::kWrite) {
             cfs.write_block(payload,
                             static_cast<NodeId>(rng.uniform(
                                 static_cast<uint64_t>(node_count))));
-          } else if (dice == 1) {
+          } else if (kind == OpKind::kEncode) {
             // Claim one sealed stripe and encode it.
-            StripeId target = kInvalidStripe;
             {
               std::lock_guard<std::mutex> lock(claim_mu);
               for (const StripeId s : cfs.sealed_stripes()) {
@@ -109,7 +151,7 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
               }
             }
             if (target != kInvalidStripe) cfs.encode_stripe(target);
-          } else if (dice == 2) {
+          } else if (kind == OpKind::kReplicate) {
             const BlockId b = blocks[rng.index(blocks.size())];
             cfs.replicate_block(
                 b, static_cast<NodeId>(
@@ -121,9 +163,14 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
                        rng.uniform(static_cast<uint64_t>(node_count))));
           }
           ++ops;
-        } catch (const std::runtime_error&) {
-          // encode raced a not-yet-landed store / replicate hit its own
-          // target — both benign; the op simply does not count
+        } catch (const std::runtime_error& e) {
+          // The op does not count; its error does.
+          const std::string reason = error_reason(e.what());
+          if (kind == OpKind::kEncode && reason == kUncommittedRefusal) {
+            std::lock_guard<std::mutex> lock(claim_mu);
+            claimed.erase(target);
+          }
+          ++local_errors[{kind, reason}];
         }
         // Only point ops bound the stall claim: writes and encodes do real
         // data-path work whose duration is not a lock artifact.
@@ -137,6 +184,7 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
       total_ops.fetch_add(ops, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(stall_mu);
       if (worst > max_stall) max_stall = worst;
+      for (const auto& [key, count] : local_errors) errors[key] += count;
     });
   }
 
@@ -167,7 +215,22 @@ TrialResult run_trial(int threads, int shards, double secs, int preload) {
   r.snapshots = snapshots.load();
   r.secs = elapsed;
   r.max_stall_s = max_stall;
+  r.errors = std::move(errors);
   return r;
+}
+
+// Errors that fail the run: any read error, and any encode error but the
+// uncommitted-write refusal.
+int64_t fatal_errors(const ErrorCounts& errors) {
+  int64_t fatal = 0;
+  for (const auto& [key, count] : errors) {
+    const auto& [kind, reason] = key;
+    if (kind == OpKind::kRead ||
+        (kind == OpKind::kEncode && reason != kUncommittedRefusal)) {
+      fatal += count;
+    }
+  }
+  return fatal;
 }
 
 std::vector<int> parse_thread_list(const std::string& spec) {
@@ -212,6 +275,7 @@ int main(int argc, char** argv) {
   bench::row("%8s %8s %12s %10s %12s %9s %10s %12s", "threads", "shards",
              "ops", "snapshots", "ops/s", "speedup", "stall_ms",
              "stall_gain");
+  ErrorCounts errors;
   for (const int t : thread_counts) {
     const TrialResult base = run_trial(t, 1, secs, preload);
     const TrialResult striped = run_trial(t, shards, secs, preload);
@@ -230,10 +294,25 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.snapshots), r.secs, r.ops_per_s(),
                 r.max_stall_s * 1e3);
       }
+      for (const auto& [key, count] : r.errors) errors[key] += count;
     }
   }
+
+  bench::row("%-10s %10s  %s", "errors", "count", "reason");
+  for (const auto& [key, count] : errors) {
+    bench::row("%-10s %10lld  %s", kOpNames[static_cast<int>(key.first)],
+               static_cast<long long>(count), key.second.c_str());
+  }
+  if (errors.empty()) bench::row("%-10s %10d", "(none)", 0);
+
   if (!csv_path.empty() && !csv.close()) {
     std::perror("csv close");
+    return 1;
+  }
+  const int64_t fatal = fatal_errors(errors);
+  if (fatal > 0) {
+    std::fprintf(stderr, "%lld read or encode errors\n",
+                 static_cast<long long>(fatal));
     return 1;
   }
   return 0;

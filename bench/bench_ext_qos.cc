@@ -19,7 +19,10 @@
 // encode / kill / repair / read sequence is executed twice, QoS off and on,
 // and every payload (stored blocks including parity, plus every read result)
 // is CRC-checked: scheduling may change *when* bytes move, never *which*
-// bytes (DESIGN.md invariant 11).  This is the bench's exit-code gate.
+// bytes (DESIGN.md invariant 11).
+//
+// Exit code: 1 when the digests differ, when any part-2 mix read fails, or
+// (full-size run only) when part 1's share misses its band.
 //
 //   ./bench_ext_qos                     # full run
 //   ./bench_ext_qos --smoke            # CI-sized (ASan job)
@@ -486,6 +489,12 @@ int main(int argc, char** argv) {
   }
   const int obs_rc = bench::obs_export(obs_out);
   if (!bytes_ok) return 1;
+  // Every mix read targets a written block and a live or repairable copy.
+  const int read_failures = mix[0].read_failures + mix[1].read_failures;
+  if (read_failures > 0) {
+    std::fprintf(stderr, "%d mix reads failed\n", read_failures);
+    return 1;
+  }
   // The share ratio is a real-time measurement; only the full-size run is
   // held to the +/-10% acceptance band.
   if (!smoke && !share_ok) return 1;

@@ -671,7 +671,8 @@ void MiniCfs::encode_stripe(StripeId stripe,
   qos::OpScope op(qos::TrafficClass::kBackgroundEncode);
   const int64_t encode_begin_us = obs::now_us();
   TransferScope in_flight(*this);
-  if (ns_.stripe_encoded(stripe)) {
+  const std::optional<StripeMeta> row = ns_.find_stripe(stripe);
+  if (row && row->encoded) {
     throw std::runtime_error("stripe already encoded");
   }
   EncodePlan plan;
@@ -690,6 +691,19 @@ void MiniCfs::encode_stripe(StripeId stripe,
   if (encoder_override) plan.encoder = *encoder_override;
 
   const int k = codec_->k();
+  // A stripe seals when its k blocks are placed, not when their writes
+  // commit.  Refuse until every data block's write has committed, so every
+  // replica the plan fetches or erases is stored; nothing is mutated yet
+  // and the caller (RaidNode) retries the stripe later.
+  for (int i = 0; i < k; ++i) {
+    const auto slot = static_cast<size_t>(i);
+    if (!row || row->data_blocks.size() <= slot ||
+        row->data_blocks[slot] != data_blocks[slot]) {
+      throw std::runtime_error(
+          "encode_stripe: stripe " + std::to_string(stripe) + " block " +
+          std::to_string(data_blocks[slot]) + " has not committed");
+    }
+  }
   const int m = codec_->m();
   const int alpha = codec_->alpha();
   const Bytes sub = codec_->sub_block_size(config_.block_size);
@@ -824,8 +838,8 @@ void MiniCfs::encode_stripe(StripeId stripe,
   // replicas (HDFS invalidates after the commit).  In this order a reader
   // that looked up the old locations can only miss a copy no longer
   // listed, and its retry finds the kept one (read_block).
-  ns_.commit_encoded_stripe(stripe, data_blocks, plan.kept, parity_ids,
-                            plan.parity);
+  ns_.commit_encoded_stripe(stripe, data_blocks, plan.kept, plan.deletions,
+                            parity_ids, plan.parity);
   for (const auto& [block_idx, node] : plan.deletions) {
     erase(node, data_blocks[static_cast<size_t>(block_idx)]);
   }

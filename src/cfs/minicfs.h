@@ -54,7 +54,7 @@ struct CfsConfig {
   // adds local-group repair; kClay / kHitchhiker are sub-packetized vector
   // codes whose single-block repairs fetch sub-block ranges of the helpers
   // instead of k full blocks.  block_size must be divisible by the
-  // family's sub-packetization alpha (serialized in the checkpoint).
+  // family's sub-packetization alpha.
   erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
   uint64_t seed = 1;
   // NameNode lock striping (cfs/namespace.h).  1 reproduces the old
@@ -89,14 +89,9 @@ struct CfsConfig {
 
 // StripeMeta, BlockStatus and NamespaceSnapshot live in cfs/namespace.h.
 
-// Full cluster snapshot (see cfs/checkpoint.h).  Plain data so it can be
-// serialized without touching MiniCfs internals.
+// Every DataNode's stored blocks, for checks that compare what the stores
+// hold against what the NameNode lists or against expected bytes.
 struct ClusterImage {
-  CfsConfig config;
-  BlockId next_block_id = 0;
-  std::map<BlockId, std::vector<NodeId>> locations;
-  std::map<StripeId, StripeMeta> stripes;
-  std::map<BlockId, std::pair<StripeId, int>> block_positions;
   // node -> (block -> bytes).  Buffers are shared with the live DataNode
   // stores (BlockBuffer contents are immutable), so exporting an image
   // copies metadata only, never block bytes.
@@ -275,10 +270,8 @@ class MiniCfs {
   // when the block is not part of a known stripe.
   std::set<NodeId> live_stripe_nodes(BlockId block) const;
 
-  // ---- snapshots (cfs/checkpoint.h) ----------------------------------------
+  // ---- cluster image -------------------------------------------------------
   ClusterImage export_image() const;
-  static std::unique_ptr<MiniCfs> from_image(
-      ClusterImage image, std::unique_ptr<Transport> transport);
 
   // ---- introspection -------------------------------------------------------
   std::vector<NodeId> block_locations(BlockId block) const;

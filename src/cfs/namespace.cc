@@ -134,39 +134,35 @@ void NamespaceShards::commit_new_block(BlockId block,
   meta.data_blocks[static_cast<size_t>(position)] = block;
   Shard& bs = *shards_[block_shard(block)];
   bs.block_pos[block] = {stripe, position};
-  // A background encode of this stripe may already have committed (the
-  // stripe seals at placement time, before this replica commit): the encode
-  // retired replicas and registered the surviving one, so the replica set
-  // must not clobber it.
-  if (!meta.encoded) {
-    bs.locations[block] = std::move(replicas);
-  }
+  bs.locations[block] = std::move(replicas);
 }
 
 void NamespaceShards::commit_encoded_stripe(
     StripeId stripe, const std::vector<BlockId>& data_blocks,
-    const std::vector<NodeId>& kept, const std::vector<BlockId>& parity_blocks,
+    const std::vector<NodeId>& kept,
+    const std::vector<std::pair<int, NodeId>>& retired,
+    const std::vector<BlockId>& parity_blocks,
     const std::vector<NodeId>& parity_nodes) {
   std::vector<size_t> indices{stripe_shard(stripe)};
   for (const BlockId b : data_blocks) indices.push_back(block_shard(b));
   for (const BlockId b : parity_blocks) indices.push_back(block_shard(b));
   const auto locks = lock_shards(std::move(indices));
 
+  // Every data block has committed (MiniCfs::encode_stripe refuses until
+  // then), so the stripe row and the data blocks' positions are complete.
   const int k = static_cast<int>(data_blocks.size());
   StripeMeta& meta = shards_[stripe_shard(stripe)]->stripes[stripe];
-  meta.id = stripe;
-  // Fill the data slots here too: the stripe seals at placement time, so an
-  // encode can commit before the last writer's own commit lands — after this
-  // commit the stripe row is complete regardless of writer commit order.
-  if (static_cast<int>(meta.data_blocks.size()) < k) {
-    meta.data_blocks.resize(static_cast<size_t>(k), kInvalidBlock);
+  for (const auto& [i, node] : retired) {
+    const BlockId b = data_blocks[static_cast<size_t>(i)];
+    std::erase(shards_[block_shard(b)]->locations[b], node);
   }
   for (int i = 0; i < k; ++i) {
     const BlockId b = data_blocks[static_cast<size_t>(i)];
-    meta.data_blocks[static_cast<size_t>(i)] = b;
-    Shard& bs = *shards_[block_shard(b)];
-    bs.locations[b] = {kept[static_cast<size_t>(i)]};
-    bs.block_pos[b] = {stripe, i};
+    std::vector<NodeId>& locs = shards_[block_shard(b)]->locations[b];
+    const NodeId keep = kept[static_cast<size_t>(i)];
+    if (std::find(locs.begin(), locs.end(), keep) == locs.end()) {
+      locs.push_back(keep);
+    }
   }
   for (size_t j = 0; j < parity_blocks.size(); ++j) {
     const BlockId b = parity_blocks[j];
@@ -207,12 +203,25 @@ void NamespaceShards::commit_inline_stripe(StripeId stripe,
 NamespaceSnapshot NamespaceShards::snapshot() const {
   std::map<BlockId, std::vector<NodeId>> locations;
   std::map<BlockId, std::pair<StripeId, int>> positions;
-  std::map<StripeId, StripeMeta> stripes;
-  export_maps(&locations, &stripes, &positions);
+  NamespaceSnapshot snap;
+  // Epoch acquire: take every shard in ascending order.  Once all locks are
+  // held the view is consistent; each shard is then copied and released
+  // immediately so point ops on low shards resume during the rest of the
+  // copy.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    locks.emplace_back(shard->mu);
+  }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& shard = *shards_[i];
+    locations.insert(shard.locations.begin(), shard.locations.end());
+    positions.insert(shard.block_pos.begin(), shard.block_pos.end());
+    snap.stripes.insert(shard.stripes.begin(), shard.stripes.end());
+    locks[i].unlock();
+  }
 
   // Join outside every lock: the epoch is already fixed.
-  NamespaceSnapshot snap;
-  snap.stripes = std::move(stripes);
   for (auto& [block, locs] : locations) {
     BlockStatus status;
     status.locations = std::move(locs);
@@ -226,51 +235,6 @@ NamespaceSnapshot NamespaceShards::snapshot() const {
     snap.blocks.emplace(block, std::move(status));
   }
   return snap;
-}
-
-void NamespaceShards::export_maps(
-    std::map<BlockId, std::vector<NodeId>>* locations,
-    std::map<StripeId, StripeMeta>* stripes,
-    std::map<BlockId, std::pair<StripeId, int>>* positions) const {
-  // Epoch acquire: take every shard in ascending order.  Once all locks are
-  // held the view is consistent; each shard is then copied and released
-  // immediately so point ops on low shards resume during the rest of the
-  // copy.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mu);
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = *shards_[i];
-    locations->insert(shard.locations.begin(), shard.locations.end());
-    positions->insert(shard.block_pos.begin(), shard.block_pos.end());
-    stripes->insert(shard.stripes.begin(), shard.stripes.end());
-    locks[i].unlock();
-  }
-}
-
-void NamespaceShards::import_maps(
-    std::map<BlockId, std::vector<NodeId>> locations,
-    std::map<StripeId, StripeMeta> stripes,
-    std::map<BlockId, std::pair<StripeId, int>> positions) {
-  std::vector<size_t> all(shards_.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const auto locks = lock_shards(std::move(all));
-  for (auto& shard : shards_) {
-    shard->locations.clear();
-    shard->block_pos.clear();
-    shard->stripes.clear();
-  }
-  for (auto& [block, locs] : locations) {
-    shards_[block_shard(block)]->locations[block] = std::move(locs);
-  }
-  for (auto& [block, pos] : positions) {
-    shards_[block_shard(block)]->block_pos[block] = pos;
-  }
-  for (auto& [stripe, meta] : stripes) {
-    shards_[stripe_shard(stripe)]->stripes[stripe] = std::move(meta);
-  }
 }
 
 }  // namespace ear::cfs

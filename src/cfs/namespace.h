@@ -96,14 +96,18 @@ class NamespaceShards {
   void commit_new_block(BlockId block, std::vector<NodeId> replicas,
                         StripeId stripe, int position);
 
-  // Commits a finished background encode: each data block's surviving
-  // replica, the m new parity blocks (locations + stripe positions k..n-1),
-  // and the stripe's encoded flag — in one atomic step.
-  void commit_encoded_stripe(StripeId stripe,
-                             const std::vector<BlockId>& data_blocks,
-                             const std::vector<NodeId>& kept,
-                             const std::vector<BlockId>& parity_blocks,
-                             const std::vector<NodeId>& parity_nodes);
+  // Commits a finished background encode of a stripe whose k data blocks
+  // have all committed, in one atomic step: data block i keeps its listed
+  // copies minus the `retired` (data index, node) replicas the encode
+  // deletes, plus kept[i]; the m new parity blocks get their locations and
+  // stripe positions k..n-1; the stripe is flagged encoded.  A copy a
+  // repair registered meanwhile stays listed, as it stays stored.
+  void commit_encoded_stripe(
+      StripeId stripe, const std::vector<BlockId>& data_blocks,
+      const std::vector<NodeId>& kept,
+      const std::vector<std::pair<int, NodeId>>& retired,
+      const std::vector<BlockId>& parity_blocks,
+      const std::vector<NodeId>& parity_nodes);
 
   // Commits a write-path (inline) erasure-coded stripe: n single-location
   // blocks plus the fully encoded stripe row, atomically.
@@ -113,17 +117,6 @@ class NamespaceShards {
 
   // ---- whole-namespace ops ----------------------------------------------
   NamespaceSnapshot snapshot() const;
-
-  // Raw-map export/import for checkpointing (cfs/checkpoint.h).  export
-  // uses the same epoch discipline as snapshot(); import distributes the
-  // maps over the shards (callers quiesce mutators first).
-  void export_maps(
-      std::map<BlockId, std::vector<NodeId>>* locations,
-      std::map<StripeId, StripeMeta>* stripes,
-      std::map<BlockId, std::pair<StripeId, int>>* positions) const;
-  void import_maps(std::map<BlockId, std::vector<NodeId>> locations,
-                   std::map<StripeId, StripeMeta> stripes,
-                   std::map<BlockId, std::pair<StripeId, int>> positions);
 
  private:
   struct Shard {

@@ -89,49 +89,11 @@ void MiniCfs::replicate_block(BlockId block, NodeId dst) {
 
 ClusterImage MiniCfs::export_image() const {
   ClusterImage image;
-  image.config = config_;
-  image.next_block_id = next_block_id_.load(std::memory_order_relaxed);
-  ns_.export_maps(&image.locations, &image.stripes, &image.block_positions);
   image.node_blocks.resize(datanodes_.size());
   for (size_t i = 0; i < datanodes_.size(); ++i) {
     image.node_blocks[i] = datanodes_[i]->export_blocks();
   }
   return image;
-}
-
-std::unique_ptr<MiniCfs> MiniCfs::from_image(
-    ClusterImage image, std::unique_ptr<Transport> transport) {
-  auto cfs = std::make_unique<MiniCfs>(image.config, std::move(transport));
-  if (image.node_blocks.size() !=
-      static_cast<size_t>(cfs->topo_.node_count())) {
-    throw std::runtime_error("checkpoint topology mismatch");
-  }
-  {
-    cfs->next_block_id_.store(image.next_block_id,
-                              std::memory_order_relaxed);
-    // New stripes must not collide with snapshotted ones (the fresh
-    // placement policy restarts its id counter at 0); inline stripes count
-    // downward and need the same treatment.
-    StripeId max_policy_stripe = -1;
-    StripeId min_inline_stripe = 0;
-    for (const auto& [id, meta] : image.stripes) {
-      (void)meta;
-      max_policy_stripe = std::max(max_policy_stripe, id);
-      min_inline_stripe = std::min(min_inline_stripe, id);
-    }
-    cfs->ns_.import_maps(std::move(image.locations), std::move(image.stripes),
-                         std::move(image.block_positions));
-    std::lock_guard<std::mutex> lock(cfs->policy_mu_);
-    cfs->policy_->reserve_stripe_ids(max_policy_stripe + 1);
-    cfs->next_inline_stripe_id_.store(min_inline_stripe - 1,
-                                      std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < image.node_blocks.size(); ++i) {
-    for (auto& [block, bytes] : image.node_blocks[i]) {
-      cfs->datanodes_[i]->put(block, std::move(bytes));
-    }
-  }
-  return cfs;
 }
 
 }  // namespace ear::cfs

@@ -2,8 +2,8 @@
 // (see DESIGN.md "Data path").
 //
 // BlockBuffer is an immutable, ref-counted byte buffer: DataNode stores,
-// the staged encode/repair pipelines and checkpoint import/export hand
-// these around by reference instead of deep-copying block-sized vectors.
+// the staged encode/repair pipelines and cluster images hand these around
+// by reference instead of deep-copying block-sized vectors.
 // A replicated block held by r DataNodes is one allocation with r refs;
 // fetching a block for encoding or repair shares the store's buffer under
 // the store's own mutex instead of copying a full block per access.

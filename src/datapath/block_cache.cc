@@ -82,15 +82,6 @@ void BlockCache::invalidate_block(int64_t block) {
   set_bytes_gauge_locked();
 }
 
-void BlockCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-  readers_of_.clear();
-  used_ = 0;
-  set_bytes_gauge_locked();
-}
-
 Bytes BlockCache::bytes_used() const {
   std::lock_guard<std::mutex> lock(mu_);
   return used_;

@@ -69,9 +69,6 @@ class BlockCache {
   // revive coherence points; see the class comment).
   void invalidate_block(int64_t block);
 
-  // Drops everything (checkpoint import).
-  void clear();
-
   // ---- introspection (tests, benches) ------------------------------------
   Bytes bytes_used() const;
   size_t entries() const;

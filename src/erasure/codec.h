@@ -36,7 +36,7 @@
 
 namespace ear::erasure {
 
-// Serialized in EARCKPT6 checkpoints and SimConfig — values are stable.
+// Stripe codec family, chosen by CfsConfig and SimConfig.
 enum class CodecFamily : uint8_t {
   kRS = 0,
   kLRC = 1,

@@ -18,7 +18,7 @@
 //     (gfni > avx2 > ssse3 > neon > scalar).
 //   * `EAR_GF_KERNEL=scalar|ssse3|avx2|gfni|neon`: that kernel, or a loud
 //     std::runtime_error naming the supported values if it is unknown or not
-//     available on this CPU (mirrors the checkpoint version-error style).
+//     available on this CPU.
 // Tests switch kernels in-process with `KernelOverride`.
 #pragma once
 

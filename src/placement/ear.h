@@ -16,7 +16,6 @@
 // recovery traffic.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "placement/policy.h"
@@ -37,10 +36,6 @@ class EncodingAwareReplication final : public PlacementPolicy {
   std::vector<StripeId> sealed_stripes() const override;
   const StripeInfo& stripe(StripeId id) const override;
   EncodePlan plan_encoding(StripeId id) override;
-
-  void reserve_stripe_ids(StripeId first_free) override {
-    next_stripe_id_ = std::max(next_stripe_id_, first_free);
-  }
 
   // Target racks of a stripe (empty when config.target_racks == 0).
   const std::vector<RackId>& stripe_target_racks(StripeId id) const;

@@ -42,11 +42,6 @@ class PlacementPolicy {
   // PlacementMonitor + BlockMover afterwards.
   virtual EncodePlan plan_encoding(StripeId id) = 0;
 
-  // Ensures future stripes get ids >= first_free.  Used when restoring a
-  // NameNode from a checkpoint so new stripes cannot collide with
-  // snapshotted ones.
-  virtual void reserve_stripe_ids(StripeId first_free) = 0;
-
  protected:
   // Counts how many data blocks the encoder must fetch from outside its own
   // rack, given one replica set per block.

@@ -8,7 +8,6 @@
 // what causes RR's cross-rack downloads and post-encoding relocations.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "placement/policy.h"
@@ -29,10 +28,6 @@ class RandomReplication final : public PlacementPolicy {
   std::vector<StripeId> sealed_stripes() const override;
   const StripeInfo& stripe(StripeId id) const override;
   EncodePlan plan_encoding(StripeId id) override;
-
-  void reserve_stripe_ids(StripeId first_free) override {
-    next_stripe_id_ = std::max(next_stripe_id_, first_free);
-  }
 
  private:
   const Topology* topo_;

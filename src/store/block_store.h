@@ -35,8 +35,7 @@
 
 namespace ear::store {
 
-// Which implementation a DataNode store uses (CfsConfig::store_backend,
-// serialized in checkpoints since EARCKPT4).
+// Which implementation a DataNode store uses (CfsConfig::store_backend).
 enum class StoreBackend {
   kMem = 0,   // RAM-resident map; a restart loses every block
   kMmap = 1,  // mmap-backed segment files; a restart replays the directory
@@ -81,7 +80,7 @@ class BlockStore {
   virtual int64_t bytes_stored() const = 0;  // live payload bytes
   virtual std::vector<BlockId> block_ids() const = 0;  // ascending
 
-  // Snapshot of every block (checkpoint export).  Buffers share the stored
+  // Snapshot of every block (MiniCfs::export_image).  Buffers share the stored
   // allocations / mappings; no payload copy.
   virtual std::map<BlockId, datapath::BlockBuffer> export_blocks() const = 0;
 

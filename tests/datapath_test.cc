@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "cfs/checkpoint.h"
 #include "cfs/minicfs.h"
 #include "cfs/raidnode.h"
 #include "common/rng.h"
@@ -873,35 +872,6 @@ TEST(ZeroCopyWritePath, OneCopyPerBlockNotPerReplica) {
   obs::shutdown();
 }
 
-// ------------------------------------------------- checkpoint round-trip
-
-TEST(ZeroCopyWritePath, CheckpointRoundTripsThroughBlockBuffers) {
-  const auto cfg = equivalence_config();
-  std::map<BlockId, std::vector<uint8_t>> originals;
-  StripeId stripe = kInvalidStripe;
-  auto cfs = encoded_cluster(cfg, 16_KB, &originals, &stripe);
-
-  const std::vector<uint8_t> image = cfs::save_checkpoint(*cfs);
-  const Topology topo(cfg.racks, cfg.nodes_per_rack);
-  auto restored = cfs::load_checkpoint(
-      image, std::make_unique<cfs::InstantTransport>(topo, 16_KB));
-
-  const cfs::StripeMeta meta = cfs->stripe_meta(stripe);
-  for (const BlockId blk : meta.data_blocks) {
-    EXPECT_EQ(restored->read_block(blk, 0), cfs->read_block(blk, 0));
-  }
-  for (const BlockId blk : meta.parity_blocks) {
-    EXPECT_EQ(restored->read_block(blk, 0), cfs->read_block(blk, 0));
-  }
-  // Degraded read in the restored cluster still reconstructs exactly.
-  const BlockId victim = meta.data_blocks[1];
-  const NodeId holder = restored->block_locations(victim)[0];
-  restored->kill_node(holder);
-  EXPECT_EQ(restored->read_block(
-                victim, (holder + 1) % restored->topology().node_count()),
-            originals.at(victim));
-}
-
 // ---------------------------------------------------- set_transport contract
 
 // Transport whose transfers block until released; lets the test hold a
@@ -959,6 +929,91 @@ TEST(SetTransport, ThrowsWhileDataMovementInFlight) {
   std::vector<uint8_t> data(static_cast<size_t>(cfg.block_size), 2);
   const BlockId id = cluster.write_block(data);
   EXPECT_EQ(cluster.read_block(id, 0), data);
+}
+
+// ------------------------------------------- encode waits for write commits
+
+// Every location, stripe position and stripe row of a namespace snapshot,
+// flattened for equality checks.
+std::string describe(const cfs::NamespaceSnapshot& snap) {
+  std::string out;
+  for (const auto& [block, status] : snap.blocks) {
+    out += "b" + std::to_string(block) + "@" + std::to_string(status.stripe) +
+           "." + std::to_string(status.position) + ":";
+    for (const NodeId n : status.locations) out += std::to_string(n) + ",";
+    out += status.encoded ? "E;" : ";";
+  }
+  for (const auto& [id, meta] : snap.stripes) {
+    out += "s" + std::to_string(id) + ":";
+    for (const BlockId b : meta.data_blocks) out += std::to_string(b) + ",";
+    out += "|";
+    for (const BlockId b : meta.parity_blocks) out += std::to_string(b) + ",";
+    out += meta.encoded ? "E;" : ";";
+  }
+  return out;
+}
+
+// A stripe seals when its k blocks are placed; its last write may still be
+// on the wire.  Encoding it then must refuse before touching anything, and
+// succeed once the write commits.
+TEST(EncodeStripe, RefusesUntilEveryWriteCommits) {
+  const auto cfg = equivalence_config();
+  const int k = cfg.placement.code.k;
+  const Topology topo(cfg.racks, cfg.nodes_per_rack);
+  cfs::MiniCfs cluster(cfg, std::make_unique<cfs::InstantTransport>(topo));
+  // One writer node: every block shares its core rack, so the k-th seals.
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  for (int i = 0; i + 1 < k; ++i) {
+    std::vector<uint8_t> data(static_cast<size_t>(cfg.block_size),
+                              static_cast<uint8_t>(i + 1));
+    originals[cluster.write_block(data, NodeId{0})] = std::move(data);
+  }
+  ASSERT_TRUE(cluster.sealed_stripes().empty());
+
+  auto gate = std::make_unique<GateTransport>();
+  GateTransport* gate_ptr = gate.get();
+  cluster.set_transport(std::move(gate));
+  const std::vector<uint8_t> last(static_cast<size_t>(cfg.block_size), 0xee);
+  BlockId last_id = kInvalidBlock;
+  std::thread writer([&] { last_id = cluster.write_block(last, NodeId{0}); });
+  gate_ptr->wait_entered();  // placed (the stripe sealed), not yet stored
+  const std::vector<StripeId> sealed = cluster.sealed_stripes();
+  if (sealed.size() != 1) {
+    gate_ptr->open();
+    writer.join();
+    FAIL() << sealed.size() << " sealed stripes, expected 1";
+  }
+  const StripeId stripe = sealed[0];
+
+  const std::string before = describe(cluster.namespace_snapshot());
+  const auto stored_before = cluster.export_image().node_blocks;
+  const int64_t downloads_before = cluster.encode_cross_rack_downloads();
+  try {
+    cluster.encode_stripe(stripe);
+    ADD_FAILURE() << "encode of a stripe with a write in flight succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("has not committed"),
+              std::string::npos)
+        << e.what();
+  } catch (...) {
+    ADD_FAILURE() << "encode refused with a non-runtime_error exception";
+  }
+  EXPECT_EQ(describe(cluster.namespace_snapshot()), before);
+  EXPECT_EQ(cluster.export_image().node_blocks, stored_before);
+  EXPECT_EQ(cluster.encode_cross_rack_downloads(), downloads_before);
+  EXPECT_FALSE(cluster.is_encoded(stripe));
+
+  gate_ptr->open();
+  writer.join();
+  originals[last_id] = last;
+  cluster.encode_stripe(stripe);
+  EXPECT_TRUE(cluster.is_encoded(stripe));
+  const cfs::StripeMeta meta = cluster.stripe_meta(stripe);
+  ASSERT_EQ(meta.data_blocks.size(), static_cast<size_t>(k));
+  for (const BlockId b : meta.data_blocks) {
+    EXPECT_EQ(cluster.block_locations(b).size(), 1u);
+    EXPECT_EQ(cluster.read_block(b, 0), originals.at(b));
+  }
 }
 
 }  // namespace

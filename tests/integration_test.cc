@@ -8,7 +8,6 @@
 #include <memory>
 #include <thread>
 
-#include "cfs/checkpoint.h"
 #include "cfs/filesystem.h"
 #include "cfs/minicfs.h"
 #include "cfs/raidnode.h"
@@ -106,48 +105,6 @@ TEST(Integration, FullLifecycleWithRackFailuresAndRecovery) {
   for (const auto& [name, content] : files) {
     EXPECT_EQ(fs.read(name, reader), content) << name;
   }
-}
-
-TEST(Integration, CheckpointMidLifecycleContinuesCorrectly) {
-  const auto cfg = big_config();
-  auto cfs = make_cfs(cfg);
-  FileSystem fs(*cfs);
-  Rng rng(2);
-
-  fs.create("/journal");
-  const auto part1 = random_bytes(static_cast<size_t>(cfg.block_size) * 7, rng);
-  fs.append("/journal", part1);
-  // Encode what sealed so far.
-  for (const StripeId s : cfs->sealed_stripes()) cfs->encode_stripe(s);
-
-  // Snapshot block-level state; the namespace is re-derivable (here we
-  // carry the block list across manually, as a NameNode would from its
-  // edit log).
-  const auto blocks = fs.blocks("/journal");
-  auto restored = MiniCfs::from_image(
-      cfs->export_image(),
-      std::make_unique<InstantTransport>(
-          Topology(cfg.racks, cfg.nodes_per_rack)));
-
-  // Reads of every original block still match on the restored cluster.
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const auto expected = cfs->read_block(blocks[i], 0);
-    EXPECT_EQ(restored->read_block(blocks[i], 0), expected);
-  }
-
-  // The restored cluster can keep writing and encoding.
-  std::vector<uint8_t> more(static_cast<size_t>(cfg.block_size), 0x77);
-  // Fixed writer: all new blocks share one core rack, so a stripe seals
-  // after k of them.
-  for (int i = 0; i < 12; ++i) restored->write_block(more, NodeId{0});
-  int fresh_encoded = 0;
-  for (const StripeId s : restored->sealed_stripes()) {
-    if (!restored->is_encoded(s)) {
-      restored->encode_stripe(s);
-      ++fresh_encoded;
-    }
-  }
-  EXPECT_GT(fresh_encoded, 0);
 }
 
 TEST(Integration, ConcurrentWritersAndEncodersStress) {

@@ -4,6 +4,7 @@
 // snapshot readers race on one MiniCfs.  Runs under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -247,6 +248,28 @@ TEST(NameNodeConcurrency, WritersEncodersRepairersSnapshottersRace) {
   for (const auto& [block, status] : snap.blocks) {
     (void)status;
     EXPECT_NO_THROW(cfs->read_block(block, reader)) << "block " << block;
+  }
+
+  // The stores and the NameNode agree on every live node: each stored copy
+  // is listed, and each listed copy is stored.
+  const NamespaceSnapshot final_snap = cfs->namespace_snapshot();
+  const ClusterImage image = cfs->export_image();
+  for (NodeId n = 0; n < node_count; ++n) {
+    if (!cfs->node_alive(n)) continue;
+    std::set<BlockId> listed;
+    for (const auto& [block, status] : final_snap.blocks) {
+      if (std::find(status.locations.begin(), status.locations.end(), n) !=
+          status.locations.end()) {
+        listed.insert(block);
+      }
+    }
+    std::set<BlockId> stored;
+    const auto& on_node = image.node_blocks[static_cast<size_t>(n)];
+    for (const auto& [block, bytes] : on_node) {
+      (void)bytes;
+      stored.insert(block);
+    }
+    EXPECT_EQ(stored, listed) << "node " << n;
   }
 
   // Every encoded stripe resolves to k + m distinct positions.

@@ -1,7 +1,7 @@
 // Vector-codec layer tests: the ErasureCodec interface, Clay coupled-layer
 // MSR codes, Hitchhiker piggybacking, the scalar adapters' byte-identity
 // with the seed codecs, and the sub-packetized consumers (MiniCfs degraded
-// reads / repair, checkpoint round-trip, ClusterSim repair model).
+// reads / repair, ClusterSim repair model).
 #include <gtest/gtest.h>
 
 #include <algorithm>
