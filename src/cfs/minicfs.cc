@@ -462,9 +462,6 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
   if (!meta || !meta->encoded) {
     throw std::runtime_error("block lost before its stripe was encoded");
   }
-  std::vector<BlockId> stripe_blocks = meta->data_blocks;  // stripe order
-  stripe_blocks.insert(stripe_blocks.end(), meta->parity_blocks.begin(),
-                       meta->parity_blocks.end());
 
   // Live positions first, sources later: the codec's plan decides which
   // positions actually serve the read (scalar codes pick the first k,
@@ -472,20 +469,7 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
   // shared RNG, so it must only run for positions the plan names — in plan
   // order — to keep the scalar path's draw sequence identical to the
   // pre-codec one.
-  std::vector<int> live_ids;
-  std::vector<BlockId> live_blocks;  // parallel to live_ids
-  for (int pos = 0; pos < static_cast<int>(stripe_blocks.size()); ++pos) {
-    if (pos == wanted_pos) continue;
-    const BlockId b = stripe_blocks[static_cast<size_t>(pos)];
-    const auto locs = ns_.find_locations(b);
-    if (!locs) continue;
-    const bool live = std::any_of(locs->begin(), locs->end(), [this](NodeId n) {
-      return node_alive_[static_cast<size_t>(n)].load();
-    });
-    if (!live) continue;
-    live_ids.push_back(pos);
-    live_blocks.push_back(b);
-  }
+  const auto [live_ids, live_blocks] = live_positions(*meta, wanted_pos);
   if (static_cast<int>(live_ids.size()) < codec_->k()) {
     throw std::runtime_error("stripe unrecoverable: fewer than k live blocks");
   }
@@ -1012,6 +996,27 @@ void MiniCfs::register_copy(BlockId block, NodeId node,
   });
 }
 
+MiniCfs::LivePositions MiniCfs::live_positions(const StripeMeta& meta,
+                                               int skip) const {
+  std::vector<BlockId> stripe_blocks = meta.data_blocks;  // stripe order
+  stripe_blocks.insert(stripe_blocks.end(), meta.parity_blocks.begin(),
+                       meta.parity_blocks.end());
+  LivePositions live;
+  for (int pos = 0; pos < static_cast<int>(stripe_blocks.size()); ++pos) {
+    if (pos == skip) continue;
+    const BlockId b = stripe_blocks[static_cast<size_t>(pos)];
+    const auto locs = ns_.find_locations(b);
+    if (!locs) continue;
+    if (std::any_of(locs->begin(), locs->end(), [this](NodeId n) {
+          return node_alive_[static_cast<size_t>(n)].load();
+        })) {
+      live.ids.push_back(pos);
+      live.blocks.push_back(b);
+    }
+  }
+  return live;
+}
+
 Bytes MiniCfs::planned_repair_bytes(BlockId block) const {
   const auto stripe_pos = ns_.find_block_stripe(block);
   if (!stripe_pos || !ns_.stripe_encoded(stripe_pos->first)) {
@@ -1019,22 +1024,10 @@ Bytes MiniCfs::planned_repair_bytes(BlockId block) const {
   }
   const auto meta = ns_.find_stripe(stripe_pos->first);
   if (!meta) return config_.block_size;
-  std::vector<BlockId> stripe_blocks = meta->data_blocks;
-  stripe_blocks.insert(stripe_blocks.end(), meta->parity_blocks.begin(),
-                       meta->parity_blocks.end());
-  std::vector<int> live_ids;
-  for (int pos = 0; pos < static_cast<int>(stripe_blocks.size()); ++pos) {
-    if (pos == stripe_pos->second) continue;
-    const auto locs = ns_.find_locations(stripe_blocks[static_cast<size_t>(pos)]);
-    if (!locs) continue;
-    if (std::any_of(locs->begin(), locs->end(), [this](NodeId n) {
-          return node_alive_[static_cast<size_t>(n)].load();
-        })) {
-      live_ids.push_back(pos);
-    }
-  }
   erasure::RepairPlan plan;
-  if (codec_->plan_repair(stripe_pos->second, live_ids, &plan)) {
+  if (codec_->plan_repair(stripe_pos->second,
+                          live_positions(*meta, stripe_pos->second).ids,
+                          &plan)) {
     return plan.bytes_read(config_.block_size);
   }
   // Whole-stripe decode fallback: k full blocks.

@@ -358,6 +358,13 @@ class MiniCfs {
   // fetched.
   datapath::BlockBuffer degraded_read(BlockId block, NodeId reader);
   datapath::BlockBuffer degraded_read_once(BlockId block, NodeId reader);
+  // The positions of `meta`'s stripe, other than `skip`, whose block has a
+  // live copy, in stripe order (degraded reads and repair planning).
+  struct LivePositions {
+    std::vector<int> ids;
+    std::vector<BlockId> blocks;  // parallel to ids
+  };
+  LivePositions live_positions(const StripeMeta& meta, int skip) const;
   // Hands a foreground rebuild to the rebuild listener, if one is set.
   void notify_rebuilt(BlockId block, NodeId holder,
                       const datapath::BlockBuffer& bytes);

@@ -1,8 +1,8 @@
 #include "mapred/encoding_job.h"
 
-#include <algorithm>
-#include <cassert>
-#include <memory>
+#include <utility>
+
+#include "sim/encode_flow.h"
 
 namespace ear::mapred {
 
@@ -101,33 +101,11 @@ void EncodingJob::run_task(Task task, NodeId node) {
     ++report_.tasks_elsewhere;
   }
 
-  // Phase 1: download one replica of each data block to `node`.
-  auto state = std::make_shared<int>(0);
-  auto plan = std::make_shared<EncodePlan>(std::move(task.plan));
+  // Download one replica of each data block to `node` (local, then the
+  // first same-rack copy, then a random one), upload the parity blocks.
   const RackId node_rack = topo.rack_of(node);
-
-  auto finish_task = [this, node] {
-    ++free_slots_[static_cast<size_t>(node)];
-    --running_;
-    if (pending_.empty() && running_ == 0) {
-      report_.duration = engine_->now() - started_;
-    }
-    try_dispatch();
-  };
-
-  auto start_uploads = [this, node, plan, state, finish_task] {
-    *state = 0;
-    for (const NodeId dst : plan->parity) {
-      if (dst == node) continue;
-      ++*state;
-      network_->start_transfer(node, dst, config_.block_size,
-                               [state, finish_task] {
-                                 if (--*state == 0) finish_task();
-                               });
-    }
-    if (*state == 0) engine_->schedule_in(0.0, finish_task);
-  };
-
+  std::vector<NodeId> sources;
+  sources.reserve(stripe.replicas.size());
   for (const auto& replicas : stripe.replicas) {
     NodeId src = kInvalidNode;
     for (const NodeId r : replicas) {
@@ -148,18 +126,21 @@ void EncodingJob::run_task(Task task, NodeId node) {
       src = replicas[rng_.index(replicas.size())];
       ++report_.cross_rack_downloads;
     }
-    ++*state;
-    auto on_done = [state, start_uploads] {
-      if (--*state == 0) start_uploads();
-    };
-    if (src == node) {
-      network_->start_disk_read(node, config_.block_size, std::move(on_done));
-    } else {
-      network_->start_transfer(src, node, config_.block_size,
-                               std::move(on_done));
-    }
+    sources.push_back(src);
   }
-  assert(*state > 0);
+  sim::EncodeFlow flow;
+  flow.encoder = node;
+  flow.gather = sim::direct_gather(sources, node);
+  flow.parity = std::move(task.plan.parity);
+  flow.block_size = config_.block_size;
+  sim::run_encode_flow(*engine_, *network_, std::move(flow), [this, node] {
+    ++free_slots_[static_cast<size_t>(node)];
+    --running_;
+    if (pending_.empty() && running_ == 0) {
+      report_.duration = engine_->now() - started_;
+    }
+    try_dispatch();
+  });
 }
 
 }  // namespace ear::mapred

@@ -1,14 +1,16 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
-#include <cassert>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 
-#include "ecdag/dag.h"
-#include "erasure/matrix.h"
 #include "obs/trace.h"
 #include "placement/ear.h"
 #include "placement/monitor.h"
 #include "placement/replica_layout.h"
+#include "sim/encode_flow.h"
 
 namespace ear::sim {
 
@@ -19,18 +21,6 @@ constexpr int kEncodeTrackBase = 100;
 
 int encode_track(int proc_id) { return kEncodeTrackBase + proc_id; }
 }  // namespace
-
-// One of the `encode_processes` parallel encoding workers.  Each worker
-// pulls the next un-encoded stripe from the shared queue and simulates the
-// three-step encoding operation of §II-A: download k data blocks, upload
-// n - k parity blocks, delete redundant replicas (free).
-struct ClusterSim::EncodeProcess {
-  int id = 0;
-  size_t stripe_index = 0;  // index into stripes_/plans_ being worked on
-  int pending_transfers = 0;
-  enum class Phase { kIdle, kDownload, kUpload, kRelocate } phase = Phase::kIdle;
-  Seconds phase_start = 0;  // virtual time the current phase began (tracing)
-};
 
 ClusterSim::ClusterSim(const SimConfig& config)
     : config_(config),
@@ -69,17 +59,14 @@ SimResult ClusterSim::run() {
   // ---- Encoding fleet starts at encode_start.
   engine_.schedule_at(config_.encode_start, [this] {
     result_.encode_begin = engine_.now();
+    processes_running_ = config_.encode_processes;
     for (int p = 0; p < config_.encode_processes; ++p) {
-      auto proc = std::make_unique<EncodeProcess>();
-      proc->id = p;
       if (obs::trace_enabled()) {
         obs::set_sim_track_name(encode_track(p),
                                 "encode-proc-" + std::to_string(p));
       }
-      processes_.push_back(std::move(proc));
+      start_stripe(p);
     }
-    processes_running_ = config_.encode_processes;
-    for (auto& proc : processes_) start_stripe(*proc);
   });
 
   engine_.run();
@@ -183,22 +170,21 @@ void ClusterSim::generate_background() {
 
 // -------------------------------------------------------------- encoding
 
-void ClusterSim::start_stripe(EncodeProcess& proc) {
+// One of the `encode_processes` parallel encoding workers takes the next
+// un-encoded stripe and runs the three-step encoding operation of §II-A:
+// download k data blocks, upload n - k parity blocks (sim/encode_flow.h),
+// delete redundant replicas (free).
+void ClusterSim::start_stripe(int proc) {
   if (next_stripe_index_ >= stripes_.size()) {
-    proc.phase = EncodeProcess::Phase::kIdle;
     if (--processes_running_ == 0) on_all_encoding_done();
     return;
   }
-  proc.stripe_index = next_stripe_index_++;
-  proc.phase = EncodeProcess::Phase::kDownload;
-  proc.phase_start = engine_.now();
-
-  const StripeInfo& stripe = policy_->stripe(stripes_[proc.stripe_index]);
-  const EncodePlan& plan = plans_[proc.stripe_index];
+  const size_t index = next_stripe_index_++;
+  const StripeInfo& stripe = policy_->stripe(stripes_[index]);
+  const EncodePlan& plan = plans_[index];
 
   // Step (i): download one replica of each of the k data blocks, preferring
   // a local copy, then a same-rack copy, then any replica.
-  proc.pending_transfers = 0;
   const RackId encoder_rack = topo_.rack_of(plan.encoder);
   std::vector<NodeId> sources;
   sources.reserve(stripe.replicas.size());
@@ -225,296 +211,66 @@ void ClusterSim::start_stripe(EncodeProcess& proc) {
     sources.push_back(src);
   }
 
-  if (config_.ecdag_enable) {
-    start_stripe_ecdag(proc, sources);
-    return;
-  }
-  if (config_.encode_pipeline_chunks > 1) {
-    start_stripe_pipelined(proc, sources);
-    return;
-  }
-
-  for (const NodeId src : sources) {
-    ++proc.pending_transfers;
-    auto on_done = [this, &proc] {
-      if (--proc.pending_transfers == 0) finish_stripe(proc);
-    };
-    if (src == plan.encoder) {
-      // Local read: charged to the node's disk (free unless disk_bw set).
-      network_.start_disk_read(src, config_.block_size, std::move(on_done));
-    } else {
-      network_.start_transfer(src, plan.encoder, config_.block_size,
-                              std::move(on_done));
-    }
-  }
-  if (proc.pending_transfers == 0) {
-    engine_.schedule_in(0.0, [this, &proc] { finish_stripe(proc); });
-  }
+  // The downloads and step (ii) run on the shared executor: the direct
+  // gather or the ecdag rack tree, compute, then the parity uploads.
+  EncodeFlow flow;
+  flow.encoder = plan.encoder;
+  flow.gather = config_.ecdag_enable
+                    ? ecdag_gather(sources, plan.parity, plan.encoder, topo_)
+                    : direct_gather(sources, plan.encoder);
+  flow.parity = plan.parity;
+  flow.block_size = config_.block_size;
+  flow.chunks = config_.encode_pipeline_chunks;
+  flow.compute_seconds = config_.encode_compute_seconds;
+  flow.trace_track = encode_track(proc);
+  flow.trace_stripe = stripes_[index];
+  run_encode_flow(engine_, network_, std::move(flow),
+                  [this, proc, index] { finish_stripe(proc, index); });
 }
 
-// Distributed-encode gather: the same rack-aware partial-sum tree the
-// testbed executor runs (src/ecdag/), modelled at whole-block granularity.
-// The simulator moves no real bytes, so the coefficient structure is all it
-// needs: RS parity rows are dense (every coefficient nonzero), which an
-// all-ones m x k matrix reproduces — every rack with more data blocks than
-// parity outputs aggregates.  Each remote rack's gather runs as a two-level
-// flow: the leaf -> aggregator transfers in parallel, then the
-// aggregator -> encoder partials (one per parity) in parallel.  The real
-// executor pipelines these per chunk; the two-level barrier here is the
-// conservative store-and-forward approximation.
-void ClusterSim::start_stripe_ecdag(EncodeProcess& proc,
-                                    const std::vector<NodeId>& sources) {
-  const EncodePlan& plan = plans_[proc.stripe_index];
-  const int k = static_cast<int>(sources.size());
-  const int m = config_.placement.code.n - config_.placement.code.k;
-  erasure::Matrix dense(m, k);
-  for (int j = 0; j < m; ++j) {
-    for (int i = 0; i < k; ++i) dense.at(j, i) = 1;
-  }
-  const ecdag::EcDag dag = ecdag::build_aggregation_dag(
-      dense, sources, plan.parity, plan.encoder, topo_);
-  const ecdag::FlowPlan flows = ecdag::plan_flows(dag, topo_);
-
-  proc.pending_transfers = static_cast<int>(flows.streams.size()) +
-                           static_cast<int>(flows.local_inputs.size());
-  auto stream_done = [this, &proc] {
-    if (--proc.pending_transfers == 0) finish_stripe(proc);
-  };
-  for (const int input : flows.local_inputs) {
-    // Consumed where it lives: charged to the node's disk, like the legacy
-    // encoder-local read.
-    network_.start_disk_read(sources[static_cast<size_t>(input)],
-                             config_.block_size, stream_done);
-  }
-  for (const auto& stream : flows.streams) {
-    auto level1 = std::make_shared<std::vector<ecdag::Hop>>();
-    auto level2 = std::make_shared<std::vector<ecdag::Hop>>();
-    for (const ecdag::Hop& hop : stream) {
-      (hop.dst == plan.encoder ? level2 : level1)->push_back(hop);
-    }
-    auto run_level = [this](const std::vector<ecdag::Hop>& hops,
-                            std::function<void()> done) {
-      if (hops.empty()) {
-        done();
-        return;
-      }
-      auto remaining = std::make_shared<int>(static_cast<int>(hops.size()));
-      for (const ecdag::Hop& hop : hops) {
-        network_.start_transfer(hop.src, hop.dst, config_.block_size,
-                                [remaining, done] {
-                                  if (--*remaining == 0) done();
-                                });
-      }
-    };
-    run_level(*level1, [run_level, level2, stream_done] {
-      run_level(*level2, stream_done);
-    });
-  }
-  if (proc.pending_transfers == 0) {
-    engine_.schedule_in(0.0, [this, &proc] { finish_stripe(proc); });
-  }
-}
-
-// Chunk-pipelined encode (SimConfig::encode_pipeline_chunks > 1): the
-// testbed's staged fetch -> compute -> upload ladder at chunk granularity.
-// Stage rules mirror datapath::StagedPipeline: downloads run serially per
-// chunk (one fetch lane), compute consumes downloaded chunks in order, and
-// parity uploads trail compute in order — so chunk c + 1's download overlaps
-// chunk c's compute and chunk c - 1's upload, and a stripe costs roughly
-// max(download, compute, upload) instead of their sum.  Per-chunk compute is
-// encode_compute_seconds / chunks.  The virtual clock, not threads, provides
-// the overlap; at chunks == 1 callers take the legacy serial branch instead.
-void ClusterSim::start_stripe_pipelined(EncodeProcess& proc,
-                                        const std::vector<NodeId>& sources) {
-  const EncodePlan& plan = plans_[proc.stripe_index];
-  const int chunks = config_.encode_pipeline_chunks;
-  const Seconds compute_per_chunk =
-      config_.encode_compute_seconds / static_cast<double>(chunks);
-
-  struct State {
-    int chunks = 0;
-    int downloaded = 0;
-    int computed = 0;
-    int uploaded = 0;
-    bool computing = false;
-    bool uploading = false;
-    Seconds download_begin = 0;
-    Seconds upload_begin = -1;
-    std::function<void(int)> start_download;
-    std::function<void()> maybe_compute;
-    std::function<void()> maybe_upload;
-  };
-  auto st = std::make_shared<State>();
-  st->chunks = chunks;
-  st->download_begin = engine_.now();
-
-  const Bytes base = config_.block_size / chunks;
-  const Bytes rem = config_.block_size % chunks;
-  auto chunk_len = [base, rem](int c) {
-    return base + (static_cast<Bytes>(c) < rem ? 1 : 0);
-  };
-
-  st->start_download = [this, st, &proc, sources, &plan, chunk_len](int c) {
-    // One completion per source plus a sentinel so `done` fires exactly once
-    // even when every source is the encoder itself (all disk reads free).
-    auto pending = std::make_shared<int>(1);
-    auto done = [this, st, &proc, c, pending] {
-      if (--*pending != 0) return;
-      st->downloaded = c + 1;
-      if (c + 1 < st->chunks) {
-        st->start_download(c + 1);
-      } else if (obs::trace_enabled()) {
-        obs::sim_complete("sim.encode.download", "sim.encode",
-                          st->download_begin, engine_.now(),
-                          encode_track(proc.id),
-                          {{"stripe", stripes_[proc.stripe_index]}});
-      }
-      st->maybe_compute();
-    };
-    const Bytes len = chunk_len(c);
-    for (const NodeId src : sources) {
-      ++*pending;
-      if (src == plan.encoder) {
-        network_.start_disk_read(src, len, done);
-      } else {
-        network_.start_transfer(src, plan.encoder, len, done);
-      }
-    }
-    engine_.schedule_in(0.0, done);  // release the sentinel
-  };
-
-  st->maybe_compute = [this, st, compute_per_chunk] {
-    if (st->computing || st->computed >= st->downloaded) return;
-    st->computing = true;
-    engine_.schedule_in(compute_per_chunk, [st] {
-      st->computing = false;
-      ++st->computed;
-      st->maybe_compute();
-      st->maybe_upload();
-    });
-  };
-
-  st->maybe_upload = [this, st, &proc, &plan, chunk_len] {
-    if (st->uploading || st->uploaded >= st->computed) return;
-    st->uploading = true;
-    if (st->upload_begin < 0) st->upload_begin = engine_.now();
-    const int c = st->uploaded;
-    auto pending = std::make_shared<int>(1);
-    auto done = [this, st, &proc, pending] {
-      if (--*pending != 0) return;
-      st->uploading = false;
-      ++st->uploaded;
-      if (st->uploaded < st->chunks) {
-        st->maybe_upload();
-        return;
-      }
-      // Whole stripe pipelined through.  Hand the tail (relocation ablation,
-      // completion bookkeeping, next stripe) to finish_stripe's kUpload arm,
-      // and break the State's self-referential std::function cycle so the
-      // shared_ptr can actually free it.
-      proc.phase = EncodeProcess::Phase::kUpload;
-      proc.phase_start = st->upload_begin;
-      st->start_download = nullptr;
-      st->maybe_compute = nullptr;
-      st->maybe_upload = nullptr;
-      finish_stripe(proc);
-    };
-    for (const NodeId dst : plan.parity) {
-      if (dst == plan.encoder) continue;
-      ++*pending;
-      network_.start_transfer(plan.encoder, dst, chunk_len(c), done);
-    }
-    engine_.schedule_in(0.0, done);  // release the sentinel
-  };
-
-  st->start_download(0);
-}
-
-void ClusterSim::finish_stripe(EncodeProcess& proc) {
-  const EncodePlan& plan = plans_[proc.stripe_index];
-
-  if (proc.phase == EncodeProcess::Phase::kDownload) {
-    if (obs::trace_enabled()) {
-      const int64_t stripe = stripes_[proc.stripe_index];
-      obs::sim_complete("sim.encode.download", "sim.encode", proc.phase_start,
-                        engine_.now(), encode_track(proc.id),
-                        {{"stripe", stripe}});
-      // Compute duration is a fixed model parameter, so its span can be
-      // emitted at dispatch time.
-      obs::sim_complete("sim.encode.compute", "sim.encode", engine_.now(),
-                        engine_.now() + config_.encode_compute_seconds,
-                        encode_track(proc.id), {{"stripe", stripe}});
-    }
-    // Step (ii): parity computation, then upload of the n - k parity
-    // blocks.
-    proc.phase = EncodeProcess::Phase::kUpload;
-    auto begin_uploads = [this, &proc, &plan] {
-      proc.phase_start = engine_.now();
-      proc.pending_transfers = 0;
-      for (const NodeId dst : plan.parity) {
-        if (dst == plan.encoder) continue;
-        ++proc.pending_transfers;
-        network_.start_transfer(plan.encoder, dst, config_.block_size,
-                                [this, &proc] {
-                                  if (--proc.pending_transfers == 0) {
-                                    finish_stripe(proc);
-                                  }
-                                });
-      }
-      if (proc.pending_transfers == 0) {
-        engine_.schedule_in(0.0, [this, &proc] { finish_stripe(proc); });
-      }
-    };
-    engine_.schedule_in(config_.encode_compute_seconds, begin_uploads);
-    return;
-  }
-
-  if (proc.phase == EncodeProcess::Phase::kUpload && obs::trace_enabled()) {
-    obs::sim_complete("sim.encode.upload", "sim.encode", proc.phase_start,
-                      engine_.now(), encode_track(proc.id),
-                      {{"stripe", stripes_[proc.stripe_index]}});
-  }
-
-  if (proc.phase == EncodeProcess::Phase::kUpload &&
-      config_.simulate_relocation) {
-    // Ablation: PlacementMonitor check + BlockMover traffic (RR pays; EAR's
-    // layouts comply by construction so the plan is empty).
-    StripeLayout layout;
-    layout.nodes = plan.kept;
-    layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
-                        plan.parity.end());
-    const PlacementMonitor monitor(topo_, config_.placement.code);
-    const auto moves = monitor.plan_relocations(layout, config_.placement.c);
-    if (!moves.empty()) {
-      proc.phase = EncodeProcess::Phase::kRelocate;
-      proc.phase_start = engine_.now();
-      proc.pending_transfers = static_cast<int>(moves.size());
-      result_.relocations += static_cast<int64_t>(moves.size());
-      result_.relocation_bytes +=
-          static_cast<int64_t>(moves.size()) * config_.block_size;
-      for (const auto& mv : moves) {
-        network_.start_transfer(mv.from, mv.to, config_.block_size,
-                                [this, &proc] {
-                                  if (--proc.pending_transfers == 0) {
-                                    finish_stripe(proc);
-                                  }
-                                });
-      }
-      return;
-    }
-  }
-
-  if (proc.phase == EncodeProcess::Phase::kRelocate && obs::trace_enabled()) {
-    obs::sim_complete("sim.encode.relocate", "sim.encode", proc.phase_start,
-                      engine_.now(), encode_track(proc.id),
-                      {{"stripe", stripes_[proc.stripe_index]}});
-  }
-
+void ClusterSim::finish_stripe(int proc, size_t index) {
   // Step (iii): replica deletion is metadata-only.  Record completion.
-  result_.stripe_completions.emplace_back(
-      engine_.now(),
-      static_cast<int>(result_.stripe_completions.size()) + 1);
-  start_stripe(proc);
+  auto complete = [this, proc] {
+    result_.stripe_completions.emplace_back(
+        engine_.now(),
+        static_cast<int>(result_.stripe_completions.size()) + 1);
+    start_stripe(proc);
+  };
+  if (!config_.simulate_relocation) {
+    complete();
+    return;
+  }
+  // Ablation: PlacementMonitor check + BlockMover traffic (RR pays; EAR's
+  // layouts comply by construction so the plan is empty).
+  const EncodePlan& plan = plans_[index];
+  StripeLayout layout;
+  layout.nodes = plan.kept;
+  layout.nodes.insert(layout.nodes.end(), plan.parity.begin(),
+                      plan.parity.end());
+  const PlacementMonitor monitor(topo_, config_.placement.code);
+  const auto moves = monitor.plan_relocations(layout, config_.placement.c);
+  if (moves.empty()) {
+    complete();
+    return;
+  }
+  result_.relocations += static_cast<int64_t>(moves.size());
+  result_.relocation_bytes +=
+      static_cast<int64_t>(moves.size()) * config_.block_size;
+  auto left = std::make_shared<size_t>(moves.size());
+  const Seconds begin = engine_.now();
+  for (const auto& mv : moves) {
+    network_.start_transfer(
+        mv.from, mv.to, config_.block_size,
+        [this, proc, index, begin, left, complete] {
+          if (--*left > 0) return;
+          if (obs::trace_enabled()) {
+            obs::sim_complete("sim.encode.relocate", "sim.encode", begin,
+                              engine_.now(), encode_track(proc),
+                              {{"stripe", stripes_[index]}});
+          }
+          complete();
+        });
+  }
 }
 
 void ClusterSim::on_all_encoding_done() {
@@ -554,6 +310,12 @@ void ClusterSim::run_repair_drill() {
       if (pos != lost) helpers.push_back(pos);
     }
     // Rebuild destination: any node not already holding a stripe block.
+    if (std::set<NodeId>(layout.begin(), layout.end()).size() >=
+        static_cast<size_t>(topo_.node_count())) {
+      throw std::invalid_argument(
+          "repair drill: every node holds a block of stripe " +
+          std::to_string(plan.stripe) + ", so no rebuild target exists");
+    }
     NodeId dst = random_node(topo_, rng_);
     while (std::find(layout.begin(), layout.end(), dst) != layout.end()) {
       dst = random_node(topo_, rng_);

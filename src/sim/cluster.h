@@ -60,10 +60,9 @@ struct SimConfig {
   // Chunk-pipelined encode: split each block into this many chunks and
   // overlap the stages the way the testbed's StagedPipeline does — chunk
   // c + 1 downloads while chunk c computes and chunk c - 1's parity uploads
-  // (downloads serial per chunk, compute in order, uploads trailing).
-  // 1 (default) is the legacy serial download -> compute -> upload model,
-  // exactly; > 1 lets Figure 13 sweeps predict the testbed's pipelined
-  // numbers.
+  // (sim/encode_flow.h).  1 (default) is the serial download -> compute ->
+  // upload model; > 1 lets Figure 13 sweeps predict the testbed's
+  // pipelined numbers.
   int encode_pipeline_chunks = 1;
 
   // Distributed-encode DAGs (src/ecdag/): each remote rack XOR-combines its
@@ -71,6 +70,7 @@ struct SimConfig {
   // core switch instead of every raw block, mirroring
   // CfsConfig::ecdag_enable on the testbed.  The gather of each rack runs
   // as a two-level flow (leaf -> aggregator, then aggregator -> encoder).
+  // Modelled at whole-block granularity: leave encode_pipeline_chunks at 1.
   bool ecdag_enable = false;
 
   // Post-encode repair drill: after encoding completes, this many
@@ -79,7 +79,8 @@ struct SimConfig {
   // cheapest RepairPlan of `codec_family` decides how many bytes every
   // helper ships (sub-block ranges for Clay/Hitchhiker, a local group for
   // LRC, k full blocks for scalar RS).  0 (default) skips the drill: the
-  // pre-codec simulation, exactly.
+  // pre-codec simulation, exactly.  run() throws std::invalid_argument
+  // when a drawn stripe has a block on every node (no rebuild target).
   int repair_drill_blocks = 0;
   erasure::CodecFamily codec_family = erasure::CodecFamily::kRS;
 
@@ -133,18 +134,14 @@ class ClusterSim {
   SimResult run();
 
  private:
-  struct EncodeProcess;
-
   void generate_write();
   void schedule_next_write();
   void generate_background();
   void schedule_next_background();
-  void start_stripe(EncodeProcess& proc);
-  void start_stripe_ecdag(EncodeProcess& proc,
-                          const std::vector<NodeId>& sources);
-  void start_stripe_pipelined(EncodeProcess& proc,
-                              const std::vector<NodeId>& sources);
-  void finish_stripe(EncodeProcess& proc);
+  // Encoding process `proc` encodes the next stripe, or retires.
+  void start_stripe(int proc);
+  // The relocation ablation and completion of stripe `index`.
+  void finish_stripe(int proc, size_t index);
   void on_all_encoding_done();
   void run_repair_drill();
 
@@ -157,14 +154,12 @@ class ClusterSim {
 
   std::vector<StripeId> stripes_;          // stripes to encode
   std::vector<EncodePlan> plans_;          // parallel to stripes_
-  std::vector<std::unique_ptr<EncodeProcess>> processes_;
   size_t next_stripe_index_ = 0;
   int processes_running_ = 0;
   bool encoding_done_ = false;
   bool generators_stopped_ = false;
 
   BlockId next_block_id_ = 0;
-  int writes_in_flight_ = 0;
 
   SimResult result_;
 };

@@ -144,13 +144,6 @@ void Network::fifo_step(std::vector<int> links, Bytes remaining,
       });
 }
 
-BytesPerSec Network::transfer_rate(TransferId id) const {
-  for (const Flow& f : flows_) {
-    if (f.id == id) return f.rate;
-  }
-  return 0.0;
-}
-
 void Network::advance_flows() {
   const Seconds now = engine_->now();
   const Seconds dt = now - last_update_;

@@ -68,9 +68,6 @@ class Network {
   int64_t intra_rack_bytes() const { return intra_rack_bytes_; }
   int64_t cross_rack_transfers() const { return cross_rack_transfers_; }
 
-  // Current max-min rate of a transfer (testing hook); 0 if unknown/local.
-  BytesPerSec transfer_rate(TransferId id) const;
-
   // Invariant check (testing hook): per-link allocated rate <= capacity and
   // allocation is max-min fair.  Returns false on violation.
   bool check_rates_feasible() const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <memory>
 
 #include "sim/network.h"
@@ -118,6 +120,60 @@ TEST(EncodingJob, StrictIsNoSlowerThanNoneForEar) {
         job.report().duration;
   }
   EXPECT_LT(durations[0], durations[1]);
+}
+
+// Job outputs recorded on the code whose map tasks still hand-rolled the
+// download -> upload phases, before they ran on the simulator's shared
+// encode executor (sim/encode_flow.h).  One slot per node, so tasks queue
+// and a shifted completion would reorder dispatches.  Counts compare
+// exactly, durations to a relative 1e-9.
+TEST(EncodingJob, OutputsMatchThePinnedRuns) {
+  struct Pinned {
+    EncodingLocality locality;
+    bool use_ear;
+    double duration;
+    int64_t cross_rack_downloads;
+    int64_t cross_rack_bytes;
+  };
+  static const Pinned kPinned[] = {
+      {EncodingLocality::kStrict, true, 2.0132659199999998, 0, 805306368},
+      {EncodingLocality::kStrict, false, 4.7131795127240483, 112, 2634022912},
+      {EncodingLocality::kPreferred, true, 2.0132659199999998, 0, 805306368},
+      {EncodingLocality::kPreferred, false, 3.6633399671583557, 112,
+       2634022912},
+      {EncodingLocality::kNone, true, 3.8813503673327152, 111, 2650800128},
+      {EncodingLocality::kNone, false, 3.8708364952459866, 113, 2583691264},
+  };
+  for (const auto locality : {EncodingLocality::kStrict,
+                              EncodingLocality::kPreferred,
+                              EncodingLocality::kNone}) {
+    for (const bool use_ear : {true, false}) {
+      World w(use_ear, 24, 17);
+      auto cfg = job_config(locality);
+      cfg.map_slots_per_node = 1;
+      EncodingJob job(w.engine, w.network, *w.policy, cfg);
+      job.submit(w.stripes);
+      w.engine.run();
+      const EncodingJobReport& r = job.report();
+      char actual[256];
+      std::snprintf(actual, sizeof actual, "{%d, %s, %.17g, %lld, %lld},",
+                    static_cast<int>(locality), use_ear ? "true" : "false",
+                    r.duration, static_cast<long long>(r.cross_rack_downloads),
+                    static_cast<long long>(w.network.cross_rack_bytes()));
+      const Pinned* pin = nullptr;
+      for (const Pinned& p : kPinned) {
+        if (p.locality == locality && p.use_ear == use_ear) pin = &p;
+      }
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pinned row; actual " << actual;
+        continue;
+      }
+      SCOPED_TRACE(actual);
+      EXPECT_NEAR(r.duration, pin->duration, 1e-9 * pin->duration);
+      EXPECT_EQ(r.cross_rack_downloads, pin->cross_rack_downloads);
+      EXPECT_EQ(w.network.cross_rack_bytes(), pin->cross_rack_bytes);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 namespace ear::sim {
 namespace {
 
@@ -162,6 +167,149 @@ TEST(ClusterSim, PipelinedEncodeMovesIdenticalBytes) {
   EXPECT_EQ(piped.encoding_cross_rack_downloads,
             serial.encoding_cross_rack_downloads);
   EXPECT_EQ(piped.stripes_encoded, serial.stripes_encoded);
+}
+
+// Simulator outputs recorded on the code that still ran the serial,
+// pipelined and ecdag encodes as separate branches, before they became one
+// executor (sim/encode_flow.h).  Every variant keeps write and background
+// traffic on, so a reordered event or a moved byte shows up here.  Byte
+// counts compare exactly, times to a relative 1e-9.
+struct PinnedRun {
+  const char* variant;
+  bool use_ear;
+  int64_t cross_rack_bytes;
+  int64_t intra_rack_bytes;
+  int64_t cross_rack_downloads;
+  int64_t relocations;
+  int64_t repair_bytes;
+  size_t completions;
+  double encode_end;
+  double last_completion;
+};
+
+SimConfig pinned_config(const std::string& variant, bool use_ear) {
+  SimConfig cfg = small_config(use_ear, 21);
+  cfg.stripes_per_process = 3;
+  if (variant == "pipelined") {
+    cfg.encode_pipeline_chunks = 4;
+    cfg.encode_compute_seconds = 0.2;
+  } else if (variant == "ecdag") {
+    // One parity block, two data blocks per rack: racks aggregate.
+    cfg.placement.code = CodeParams{7, 6};
+    cfg.placement.c = 2;
+    cfg.ecdag_enable = true;
+  } else if (variant == "fifo" || variant == "fifo-pipelined") {
+    cfg.net.sharing = SharingModel::kFifoReservation;
+    cfg.net.disk_bw = 1.3 * cfg.net.node_bw;
+    cfg.encode_compute_seconds = 0.2;
+    if (variant == "fifo-pipelined") cfg.encode_pipeline_chunks = 4;
+  } else if (variant == "relocation") {
+    cfg.simulate_relocation = true;
+  } else if (variant == "drill") {
+    cfg.repair_drill_blocks = 4;
+  }
+  return cfg;
+}
+
+bool close_to(double a, double b) {
+  return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+}
+
+TEST(ClusterSim, OutputsMatchThePinnedRuns) {
+  // {variant, EAR, cross, intra, downloads, relocations, repair bytes,
+  //  completions, encode_end, last completion}
+  static const PinnedRun kPinned[] = {
+      {"serial", true, 215405450, 436839990, 0, 0, 0, 12,
+       11.409286143999996, 11.409286143999996},
+      {"serial", false, 811872192, 200705575, 63, 0, 0, 12,
+       12.850160617999396, 12.850160617999396},
+      {"pipelined", true, 215405450, 436839990, 0, 0, 0, 12,
+       11.257296255999995, 11.257296255999995},
+      {"pipelined", false, 796630335, 192316967, 63, 0, 0, 12,
+       12.327938821610777, 12.327938821610777},
+      {"ecdag", true, 14078858, 604612150, 0, 0, 0, 12,
+       11.34217728, 11.34217728},
+      {"ecdag", false, 521565990, 292980263, 60, 0, 0, 12,
+       11.467576723703356, 11.467576723703356},
+      {"fifo", true, 223794058, 445228598, 0, 0, 0, 12,
+       12.009286143998313, 12.009286143998313},
+      {"fifo", false, 798390054, 205396995, 63, 0, 0, 12,
+       12.968733183997166, 12.968733183997166},
+      {"fifo-pipelined", true, 215405450, 436839990, 0, 0, 0, 12,
+       11.257296255998678, 11.257296255998678},
+      {"fifo-pipelined", false, 796630335, 192316967, 63, 0, 0, 12,
+       12.308301055997362, 12.308301055997362},
+      {"relocation", true, 215405450, 436839990, 0, 0, 0, 12,
+       11.409286143999996, 11.409286143999996},
+      {"relocation", false, 1036548837, 194172644, 63, 29, 0, 12,
+       13.3790100169744, 13.3790100169744},
+      {"drill", true, 399954826, 453617206, 0, 0, 201326592, 12,
+       11.409286143999996, 11.409286143999996},
+      {"drill", false, 979644352, 234260007, 63, 0, 201326592, 12,
+       12.850160617999396, 12.850160617999396},
+  };
+  const char* const kVariants[] = {"serial", "pipelined", "ecdag", "fifo",
+                                   "fifo-pipelined", "relocation", "drill"};
+  for (const char* variant : kVariants) {
+    for (const bool use_ear : {true, false}) {
+      const SimResult r = ClusterSim(pinned_config(variant, use_ear)).run();
+      const double last = r.stripe_completions.empty()
+                              ? 0.0
+                              : r.stripe_completions.back().first;
+      char actual[512];
+      std::snprintf(actual, sizeof actual,
+                    "{\"%s\", %s, %lld, %lld, %lld, %lld, %lld, %zu, %.17g, "
+                    "%.17g},",
+                    variant, use_ear ? "true" : "false",
+                    static_cast<long long>(r.cross_rack_bytes),
+                    static_cast<long long>(r.intra_rack_bytes),
+                    static_cast<long long>(r.encoding_cross_rack_downloads),
+                    static_cast<long long>(r.relocations),
+                    static_cast<long long>(r.repair_bytes),
+                    r.stripe_completions.size(), r.encode_end, last);
+      const PinnedRun* pin = nullptr;
+      for (const PinnedRun& p : kPinned) {
+        if (p.variant == std::string(variant) && p.use_ear == use_ear) pin = &p;
+      }
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pinned row; actual " << actual;
+        continue;
+      }
+      SCOPED_TRACE(actual);
+      EXPECT_EQ(r.cross_rack_bytes, pin->cross_rack_bytes);
+      EXPECT_EQ(r.intra_rack_bytes, pin->intra_rack_bytes);
+      EXPECT_EQ(r.encoding_cross_rack_downloads, pin->cross_rack_downloads);
+      EXPECT_EQ(r.relocations, pin->relocations);
+      EXPECT_EQ(r.repair_bytes, pin->repair_bytes);
+      EXPECT_EQ(r.stripe_completions.size(), pin->completions);
+      EXPECT_TRUE(close_to(r.encode_end, pin->encode_end));
+      EXPECT_TRUE(close_to(last, pin->last_completion));
+    }
+  }
+}
+
+TEST(ClusterSim, RepairDrillRejectsAStripeThatCoversEveryNode) {
+  // Six nodes, and every stripe of (6,4) spans all six after encoding: a
+  // drill has nowhere to rebuild, so it must refuse instead of spinning.
+  for (const bool use_ear : {true, false}) {
+    SimConfig cfg;
+    cfg.racks = 3;
+    cfg.nodes_per_rack = 2;
+    cfg.placement.code = CodeParams{6, 4};
+    cfg.placement.replication = 2;
+    cfg.placement.c = 2;
+    cfg.use_ear = use_ear;
+    cfg.block_size = 1_MB;
+    cfg.background_mean_size = 1_MB;
+    cfg.encode_start = 1.0;
+    cfg.encode_processes = 2;
+    cfg.stripes_per_process = 1;
+    cfg.repair_drill_blocks = 1;
+    EXPECT_THROW(ClusterSim(cfg).run(), std::invalid_argument)
+        << (use_ear ? "EAR" : "RR");
+    cfg.repair_drill_blocks = 0;
+    EXPECT_EQ(ClusterSim(cfg).run().stripes_encoded, 2);
+  }
 }
 
 TEST(ClusterSim, MeanLayoutIterationsReportedForEar) {
