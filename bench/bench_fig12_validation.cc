@@ -55,6 +55,10 @@ double measure_stripe_compute_seconds(int n, int k, ear::Bytes block) {
          kReps;
 }
 
+// The simulator splits the batch evenly over this many encode processes
+// (one per rack), as the testbed's RaidNode runs that many map slots.
+constexpr int kEncodeProcesses = 12;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,6 +73,15 @@ int main(int argc, char** argv) {
   // the simulator runs for external plotting.
   const std::string csv_prefix = flags.get_string("csv-out");
   int rc = 0;
+  // Any other count leaves the simulator encoding fewer stripes than the
+  // testbed (none at all below 12), so the comparison would be meaningless.
+  if (stripes <= 0 || stripes % kEncodeProcesses != 0) {
+    std::fprintf(stderr,
+                 "error: --stripes must be a positive multiple of %d "
+                 "(got %d)\n",
+                 kEncodeProcesses, stripes);
+    return 1;
+  }
 
   bench::header("Figure 12 / Table I",
                 "simulator validation against the MiniCfs testbed");
@@ -92,7 +105,7 @@ int main(int argc, char** argv) {
       cfs::WriteWorkload writes(*loaded.cfs, write_rate, 7);
       writes.start();
       std::this_thread::sleep_for(std::chrono::duration<double>(warmup_s));
-      cfs::RaidNode raid(*loaded.cfs, 12);
+      cfs::RaidNode raid(*loaded.cfs, kEncodeProcesses);
       const cfs::EncodeReport report = raid.encode_stripes(loaded.stripes);
       writes.stop();
 
@@ -127,11 +140,16 @@ int main(int argc, char** argv) {
       cfg.write_rate = write_rate;
       cfg.background_rate = 0;
       cfg.encode_start = warmup_s;
-      cfg.encode_processes = 12;
-      cfg.stripes_per_process = stripes / 12;
+      cfg.encode_processes = kEncodeProcesses;
+      cfg.stripes_per_process = stripes / kEncodeProcesses;
       cfg.seed = 7;
       sim::ClusterSim sim_run(cfg);
       const sim::SimResult result = sim_run.run();
+      if (result.stripes_encoded != stripes) {
+        std::fprintf(stderr, "error: the simulator encoded %d of %d stripes\n",
+                     result.stripes_encoded, stripes);
+        rc = 1;
+      }
       for (const auto& [t, count] : result.stripe_completions) {
         (void)count;
         simulated.completion_times.push_back(t - result.encode_begin);

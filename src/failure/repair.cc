@@ -17,7 +17,6 @@ using Clock = std::chrono::steady_clock;
 RepairManager::RepairManager(cfs::MiniCfs& cfs, const RepairConfig& config)
     : cfs_(&cfs),
       config_(config),
-      last_refill_(Clock::now()),
       gauge_queue_depth_(
           &obs::Registry::instance().gauge("repair.queue_depth")),
       ctr_repaired_(&obs::Registry::instance().counter("repair.blocks_repaired")),
@@ -28,8 +27,13 @@ RepairManager::RepairManager(cfs::MiniCfs& cfs, const RepairConfig& config)
           &obs::Registry::instance().counter("repair.blocks_unrecoverable")),
       ctr_retries_(&obs::Registry::instance().counter("repair.retries")),
       ctr_bytes_(&obs::Registry::instance().counter("repair.bytes_moved")) {
-  // Allow a burst of a few blocks so single repairs never stall at startup.
-  tokens_ = static_cast<double>(cfs_->config().block_size) * 4;
+  // Allow a burst of a few blocks, full at the start, so single repairs
+  // never stall at startup.
+  if (config_.repair_bandwidth > 0) {
+    budget_.emplace(config_.repair_bandwidth,
+                    static_cast<double>(cfs_->config().block_size) * 4,
+                    Clock::now());
+  }
 }
 
 RepairManager::~RepairManager() { stop(); }
@@ -137,33 +141,19 @@ int RepairManager::schedule_rack(RackId rack) {
 // -------------------------------------------------------------- execution
 
 void RepairManager::throttle(Bytes bytes, bool live_mode) {
-  const BytesPerSec rate = config_.repair_bandwidth;
-  if (rate <= 0) return;
   // When the transport schedules with QoS, the repair budget is enforced
   // there as the kRepair class rate — metering here too would throttle the
   // same bytes twice.
-  if (cfs_->transport().qos_enabled()) return;
+  if (!budget_ || cfs_->transport().qos_enabled()) return;
   double wait_s = 0;
   {
     std::lock_guard<std::mutex> lock(throttle_mu_);
-    const auto now = Clock::now();
-    const double burst = static_cast<double>(cfs_->config().block_size) * 4;
-    tokens_ = std::min(
-        burst,
-        tokens_ + std::chrono::duration<double>(now - last_refill_).count() *
-                      rate);
-    last_refill_ = now;
-    if (tokens_ >= static_cast<double>(bytes)) {
-      tokens_ -= static_cast<double>(bytes);
-    } else {
-      wait_s = (static_cast<double>(bytes) - tokens_) / rate;
-      tokens_ = 0;
-      // The wait itself pays the deficit: push the refill origin past the
-      // sleep, or the slept seconds would refill the bucket a second time
-      // and the effective rate would double under sustained load.
-      last_refill_ = now + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(wait_s));
-    }
+    budget_->refill(Clock::now());
+    // Charge first, then sleep the debt off: the wait itself repays it, so
+    // the next refill starts from zero instead of refilling the slept
+    // seconds a second time.
+    budget_->charge(static_cast<double>(bytes));
+    wait_s = budget_->seconds_until(0);
   }
   // drain() never sleeps: synchronous mode stays deterministic; the bucket
   // still meters so live workers resuming later inherit the debt.

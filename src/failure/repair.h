@@ -23,7 +23,8 @@
 // All data movement goes through the MiniCfs Transport; an optional token
 // bucket caps aggregate repair bandwidth on top of it, modelling HDFS's
 // dfs.datanode.balance / replication throttles so repair traffic cannot
-// starve foreground work.
+// starve foreground work.  It stands down when the transport schedules with
+// QoS, whose repair class rate is then the budget.
 //
 // Two execution modes:
 //  * start()/stop() — live mode: up to `workers` drainer tasks on the shared
@@ -43,11 +44,13 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "cfs/minicfs.h"
+#include "common/debt_bucket.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -171,8 +174,7 @@ class RepairManager {
   Report report_;
 
   std::mutex throttle_mu_;
-  double tokens_ = 0;
-  std::chrono::steady_clock::time_point last_refill_;
+  std::optional<DebtBucket> budget_;  // engaged iff repair_bandwidth > 0
 
   obs::Gauge* gauge_queue_depth_;
   obs::Counter* ctr_repaired_;

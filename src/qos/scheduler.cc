@@ -9,9 +9,9 @@ namespace {
 
 constexpr double kMinWeight = 1e-9;
 
-// Token buckets allow a short burst (half a second of the sustained rate)
+// A class budget allows a short burst (half a second of its sustained rate)
 // above it; the floor keeps chunk-sized requests moving when the budget is
-// tiny.  Debt-style admission below handles requests larger than the cap.
+// tiny.  Debt-style admission handles requests larger than the cap.
 double bucket_cap(BytesPerSec rate) {
   return std::max(rate * 0.5, static_cast<double>(256_KB));
 }
@@ -79,27 +79,61 @@ size_t FairQueueCore::class_size(int class_idx) const {
   return class_count_[class_idx];
 }
 
+// ------------------------------------------------------------ ClassBudget
+
+ClassBudget::ClassBudget(const QosConfig& config) {
+  const auto now = Clock::now();
+  for (int c = 0; c < kClassCount; ++c) {
+    const BytesPerSec rate = config.class_rate[c];
+    // Starting full lets a fresh budget burst at once.
+    if (rate > 0) buckets_[c].emplace(rate, bucket_cap(rate), now);
+  }
+}
+
+bool ClassBudget::admit(int class_idx, Bytes bytes, Clock::time_point now) {
+  auto& bucket = buckets_[class_idx];
+  if (!bucket) return true;
+  std::lock_guard<std::mutex> lk(mu_);
+  bucket->refill(now);
+  // Admit while tokens are positive, then charge the full request: the
+  // long-run rate is the configured one for any request size, and every
+  // class makes progress once its debt is repaid — starvation-free.
+  if (bucket->tokens() <= 0) return false;
+  bucket->charge(static_cast<double>(bytes));
+  return true;
+}
+
+ClassBudget::Clock::time_point ClassBudget::admissible_at(
+    int class_idx, Clock::time_point now) {
+  auto& bucket = buckets_[class_idx];
+  if (!bucket) return now;
+  std::lock_guard<std::mutex> lk(mu_);
+  bucket->refill(now);
+  if (bucket->tokens() > 0) return now;
+  // A hair past the crossing, so the balance is positive on waking.
+  return now + to_duration(bucket->seconds_until(0) + 1e-4);
+}
+
 // ------------------------------------------------------------ LinkScheduler
 
-LinkScheduler::LinkScheduler(double seconds_per_byte, const QosConfig& config)
+LinkScheduler::LinkScheduler(double seconds_per_byte, const QosConfig& config,
+                             std::shared_ptr<ClassBudget> budget)
     : seconds_per_byte_(seconds_per_byte),
       horizon_(std::isinf(config.grant_horizon)
                    ? Clock::duration::max()
                    : to_duration(config.grant_horizon)),
+      budget_(budget ? std::move(budget)
+                     : std::make_shared<ClassBudget>(config)),
       core_(config) {}
 
 LinkScheduler::Clock::time_point LinkScheduler::request(
     const TransferContext& ctx, Bytes bytes, bool charge) {
-  const int cls = static_cast<int>(ctx.cls);
   std::unique_lock<std::mutex> lk(mu_);
   auto now = Clock::now();
-  if (charge) demand_[cls] += bytes;
-  refill_locked(now);
 
   // Fast path: idle link within the horizon, nobody queued, budget ok.
   if (core_.empty() && available_at_ - now <= horizon_ &&
-      (!charge || admit_locked(cls, bytes))) {
-    if (charge && buckets_[cls].rate > 0) buckets_[cls].tokens -= bytes;
+      (!charge || budget_->admit(static_cast<int>(ctx.cls), bytes, now))) {
     auto start = std::max(now, available_at_);
     double secs = static_cast<double>(bytes) * seconds_per_byte_;
     available_at_ = start + to_duration(secs);
@@ -122,44 +156,19 @@ LinkScheduler::Clock::time_point LinkScheduler::request(
   }
 }
 
-bool LinkScheduler::admit_locked(int class_idx, Bytes bytes) const {
-  (void)bytes;
-  const TokenBucket& b = buckets_[class_idx];
-  // Debt-style bucket: admit while tokens are positive, charge the full
-  // request (possibly going negative).  Long-run throughput converges to
-  // the configured rate for any request size, and every class makes
-  // progress once its tokens refill past zero — starvation-free.
-  return b.rate <= 0 || b.tokens > 0;
-}
-
-void LinkScheduler::refill_locked(Clock::time_point now) {
-  for (auto& b : buckets_) {
-    if (b.rate <= 0) continue;
-    if (b.last_refill == Clock::time_point{}) {
-      b.last_refill = now;
-      continue;
-    }
-    if (now <= b.last_refill) continue;
-    double dt = std::chrono::duration<double>(now - b.last_refill).count();
-    b.tokens = std::min(bucket_cap(b.rate), b.tokens + dt * b.rate);
-    b.last_refill = now;
-  }
-}
-
 void LinkScheduler::try_grant_locked(Clock::time_point now) {
-  refill_locked(now);
   bool granted_any = false;
   while (!core_.empty() && available_at_ - now <= horizon_) {
     FairQueueCore::Request r;
+    // admit() charges the request it accepts, and grant_next pops exactly
+    // the first accepted one, so only the granted request is charged.
     if (!core_.grant_next(
-            [this](const FairQueueCore::Request& req) {
-              return !req.charge || admit_locked(req.class_idx, req.bytes);
+            [this, now](const FairQueueCore::Request& req) {
+              return !req.charge ||
+                     budget_->admit(req.class_idx, req.bytes, now);
             },
             &r)) {
       break;
-    }
-    if (r.charge && buckets_[r.class_idx].rate > 0) {
-      buckets_[r.class_idx].tokens -= r.bytes;
     }
     auto start = std::max(now, available_at_);
     double secs = static_cast<double>(r.bytes) * seconds_per_byte_;
@@ -175,40 +184,18 @@ void LinkScheduler::try_grant_locked(Clock::time_point now) {
 }
 
 LinkScheduler::Clock::time_point LinkScheduler::next_event_locked(
-    Clock::time_point now) const {
+    Clock::time_point now) {
   if (available_at_ - now > horizon_) return available_at_ - horizon_;
-  // Timeline is open, so the queue heads must be waiting on tokens: wake
-  // when the soonest capped class with queued work turns positive.
+  // Timeline is open, so the queue heads must be waiting on the shared
+  // budget: wake when the soonest class with queued work can be admitted.
+  // Other links spending the same budget only push that instant later, and
+  // a wake-up that finds the class still in debt recomputes it.
   Clock::time_point soonest = now + std::chrono::milliseconds(50);
   for (int c = 0; c < kClassCount; ++c) {
-    const TokenBucket& b = buckets_[c];
-    if (b.rate <= 0 || b.tokens > 0) continue;
     if (core_.class_size(c) == 0) continue;
-    double wait = (-b.tokens) / b.rate + 1e-4;
-    soonest = std::min(soonest, now + to_duration(wait));
+    soonest = std::min(soonest, budget_->admissible_at(c, now));
   }
   return soonest;
-}
-
-void LinkScheduler::set_class_rate(int class_idx, BytesPerSec rate) {
-  std::lock_guard<std::mutex> lk(mu_);
-  TokenBucket& b = buckets_[class_idx];
-  if (b.rate <= 0 && rate > 0) {
-    // First assignment: start full so a fresh budget permits an immediate
-    // burst, mirroring the RepairManager's old startup allowance.
-    b.last_refill = Clock::time_point{};
-    b.tokens = bucket_cap(rate);
-  }
-  b.rate = rate;
-  if (rate > 0) b.tokens = std::min(b.tokens, bucket_cap(rate));
-  cv_.notify_all();
-}
-
-int64_t LinkScheduler::take_demand(int class_idx) {
-  std::lock_guard<std::mutex> lk(mu_);
-  int64_t d = demand_[class_idx];
-  demand_[class_idx] = 0;
-  return d;
 }
 
 LinkScheduler::Sample LinkScheduler::sample(Clock::time_point now) const {
@@ -229,24 +216,11 @@ LinkScheduler::Sample LinkScheduler::sample(Clock::time_point now) const {
 // ------------------------------------------------------------- QosScheduler
 
 QosScheduler::QosScheduler(const std::vector<double>& seconds_per_byte,
-                           const QosConfig& config)
-    : config_(config) {
+                           const QosConfig& config) {
+  auto budget = std::make_shared<ClassBudget>(config);
   links_.reserve(seconds_per_byte.size());
   for (double spb : seconds_per_byte) {
-    links_.push_back(std::make_unique<LinkScheduler>(spb, config_));
-  }
-
-  const size_t n = links_.size();
-  demand_ewma_.assign(kClassCount, std::vector<double>(n, 0.0));
-  bool any_capped = false;
-  for (int c = 0; c < kClassCount; ++c) {
-    if (config_.class_rate[c] <= 0) continue;
-    any_capped = true;
-    // Start from an equal static split; the controller reshapes it from
-    // observed demand.
-    for (auto& link : links_) {
-      link->set_class_rate(c, config_.class_rate[c] / static_cast<double>(n));
-    }
+    links_.push_back(std::make_unique<LinkScheduler>(spb, config, budget));
   }
 
   auto& reg = obs::Registry::instance();
@@ -259,21 +233,6 @@ QosScheduler::QosScheduler(const std::vector<double>& seconds_per_byte,
   hist_grant_latency_ = &reg.histogram(
       "qos.grant_latency_ms",
       {0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000});
-
-  if (any_capped && config_.rebalance_period > 0 && n > 0) {
-    controller_ = std::thread([this] { controller_loop(); });
-  }
-}
-
-QosScheduler::~QosScheduler() {
-  if (controller_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(controller_mu_);
-      controller_stop_ = true;
-    }
-    controller_cv_.notify_all();
-    controller_.join();
-  }
 }
 
 QosScheduler::Clock::time_point QosScheduler::request(
@@ -300,43 +259,6 @@ QosScheduler::Clock::time_point QosScheduler::request(
     ctr_grants_[c]->add(1);
   }
   return end;
-}
-
-void QosScheduler::controller_loop() {
-  std::unique_lock<std::mutex> lk(controller_mu_);
-  while (!controller_stop_) {
-    controller_cv_.wait_for(
-        lk, std::chrono::duration<double>(config_.rebalance_period),
-        [this] { return controller_stop_; });
-    if (controller_stop_) break;
-    lk.unlock();
-    rebalance();
-    lk.lock();
-  }
-}
-
-void QosScheduler::rebalance() {
-  const size_t n = links_.size();
-  if (n == 0) return;
-  for (int c = 0; c < kClassCount; ++c) {
-    const BytesPerSec budget = config_.class_rate[c];
-    if (budget <= 0) continue;
-    auto& ewma = demand_ewma_[static_cast<size_t>(c)];
-    double total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double d = static_cast<double>(links_[i]->take_demand(c));
-      ewma[i] = 0.5 * ewma[i] + 0.5 * d;
-      total += ewma[i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      double share = total > 0 ? ewma[i] / total : 1.0 / static_cast<double>(n);
-      // Blend with an equal-split floor so links with no recent demand can
-      // still start a flow without waiting a full controller period.
-      double rate =
-          budget * (0.8 * share + 0.2 / static_cast<double>(n));
-      links_[i]->set_class_rate(c, rate);
-    }
-  }
 }
 
 }  // namespace ear::qos

@@ -9,6 +9,11 @@
 //    state machine, no clock, no threads — qos_test drives it directly for
 //    the deterministic convergence proofs.
 //
+//  * ClassBudget — the cluster-wide byte budget: one debt bucket per class
+//    with a class_rate, shared by every link of a QosScheduler, so a class
+//    spends exactly its rate however its traffic spreads over links (one
+//    hot up-link may spend all of it).
+//
 //  * LinkScheduler — one real link: a fluid reservation timeline (a chunk
 //    occupies bytes x seconds_per_byte starting no earlier than the previous
 //    reservation's end) plus a FairQueueCore deciding *which* queued request
@@ -19,16 +24,13 @@
 //    horizon and no class budgets nothing ever waits, no request enters the
 //    FairQueueCore, and the link is exactly FIFO.  Work-conserving: an
 //    idle link grants immediately, and any backlogged flow inherits idle
-//    classes' share.  Optional per-class token-bucket ceilings (the repair
-//    budget) are enforced at grant time: an over-budget class's requests
-//    are skipped — not reordered away, merely deferred — and the link hands
-//    the slot to the next admissible vfinish.
+//    classes' share.  Charged requests of a capped class are admitted
+//    against the ClassBudget at grant time: while the class is in debt its
+//    requests are skipped — not reordered away, merely deferred — and the
+//    link hands the slot to the next admissible vfinish.
 //
-//  * QosScheduler — the cluster view: all links of one transport plus the
-//    periodic controller that re-splits each class's *global* byte budget
-//    across links proportional to observed per-link demand (EWMA), so e.g.
-//    a single hot rack up-link can spend the entire cluster repair budget
-//    instead of 1/L of it (YTsaurus distributed_throttler's scheme).
+//  * QosScheduler — the cluster view: all links of one transport and the
+//    ClassBudget they share.
 //
 // Everything here decides only *when* a reservation is granted — payload
 // routing and contents are untouched (invariant 11).
@@ -41,9 +43,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
+#include "common/debt_bucket.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "qos/qos.h"
@@ -58,13 +61,11 @@ struct QosConfig {
   // Per-tenant multiplier within a class (absent tenants weigh 1.0).
   // Effective flow weight = class_weight[cls] * tenant_weight[tenant].
   std::map<int, double> tenant_weight;
-  // Cluster-wide rate ceiling per class in bytes/s; 0 = uncapped (purely
-  // work-conserving).  This is where the RepairManager's old private token
-  // bucket lives now: set class_rate[kRepair] to the repair budget.
+  // Cluster-wide rate ceiling per class in bytes/s, enforced exactly by
+  // one shared ClassBudget bucket; 0 = uncapped (purely work-conserving).
+  // Set class_rate[kRepair] to the repair budget: the RepairManager's own
+  // bucket (repair_bandwidth) stands down while QoS is on.
   BytesPerSec class_rate[kClassCount] = {0, 0, 0, 0};
-  // Controller tick re-splitting global class budgets across links by
-  // observed demand; 0 = static equal split, no controller thread.
-  Seconds rebalance_period = 0.05;
   // How far a link's reservation timeline may run ahead of real time before
   // arrivals queue in virtual-finish order.  Small = late binding (fair);
   // larger degenerates toward FIFO, and infinity is exactly FIFO (every
@@ -128,13 +129,39 @@ class FairQueueCore {
   size_t class_count_[kClassCount] = {0, 0, 0, 0};
 };
 
+// ------------------------------------------------------------ ClassBudget
+
+class ClassBudget {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  // One bucket per class with class_rate > 0, starting full.  The set of
+  // capped classes is fixed here, so checking a class takes no lock.
+  explicit ClassBudget(const QosConfig& config);
+
+  // Debt-style admission of a charged request: an uncapped class passes
+  // without a lock; a capped one passes while its tokens are positive and
+  // is then charged the full request, possibly going negative.
+  bool admit(int class_idx, Bytes bytes, Clock::time_point now);
+
+  // When an admission of the class could next pass: `now` for an uncapped
+  // class or a positive balance, else when the debt is repaid.
+  Clock::time_point admissible_at(int class_idx, Clock::time_point now);
+
+ private:
+  std::mutex mu_;
+  std::optional<DebtBucket> buckets_[kClassCount];  // engaged = capped
+};
+
 // ------------------------------------------------------------ LinkScheduler
 
 class LinkScheduler {
  public:
   using Clock = std::chrono::steady_clock;
 
-  LinkScheduler(double seconds_per_byte, const QosConfig& config);
+  // A standalone link owns its budget; a QosScheduler's links share one.
+  LinkScheduler(double seconds_per_byte, const QosConfig& config,
+                std::shared_ptr<ClassBudget> budget = nullptr);
 
   // Blocks until the request is granted a timeline slot; returns the time
   // the reservation ends (the caller sleeps until then for a delivered
@@ -142,11 +169,6 @@ class LinkScheduler {
   // draws from the class byte budget (one hop per transfer chunk does).
   Clock::time_point request(const TransferContext& ctx, Bytes bytes,
                             bool charge = true);
-
-  // Controller interface: this link's current byte budget for a class.
-  void set_class_rate(int class_idx, BytesPerSec rate);
-  // Bytes requested per class since the previous call (demand signal).
-  int64_t take_demand(int class_idx);
 
   // Sampler interface.
   struct Sample {
@@ -156,24 +178,17 @@ class LinkScheduler {
   Sample sample(Clock::time_point now) const;
 
  private:
-  struct TokenBucket {
-    BytesPerSec rate = 0;  // 0 = uncapped
-    double tokens = 0;
-    Clock::time_point last_refill{};
-  };
-
-  bool admit_locked(int class_idx, Bytes bytes) const;
-  void refill_locked(Clock::time_point now);
   // Grants every admissible head request while the timeline is within the
   // horizon.  Caller holds mu_.
   void try_grant_locked(Clock::time_point now);
   // Earliest instant another grant could become possible.  Caller holds mu_.
-  Clock::time_point next_event_locked(Clock::time_point now) const;
+  Clock::time_point next_event_locked(Clock::time_point now);
 
   const double seconds_per_byte_;
   // Clock::duration::max() when unbounded; compare `available_at_ - now`
   // against it, never `now + horizon_`, which would overflow.
   const Clock::duration horizon_;
+  const std::shared_ptr<ClassBudget> budget_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -186,8 +201,6 @@ class LinkScheduler {
   Clock::time_point available_at_{};
   double busy_seconds_ = 0;
   int64_t waiting_bytes_ = 0;
-  TokenBucket buckets_[kClassCount];
-  int64_t demand_[kClassCount] = {0, 0, 0, 0};
 };
 
 // ------------------------------------------------------------- QosScheduler
@@ -200,7 +213,6 @@ class QosScheduler {
   // with the transport's link table).
   QosScheduler(const std::vector<double>& seconds_per_byte,
                const QosConfig& config);
-  ~QosScheduler();
 
   QosScheduler(const QosScheduler&) = delete;
   QosScheduler& operator=(const QosScheduler&) = delete;
@@ -216,19 +228,7 @@ class QosScheduler {
   }
 
  private:
-  void controller_loop();
-  void rebalance();
-
-  const QosConfig config_;
   std::vector<std::unique_ptr<LinkScheduler>> links_;
-
-  // Controller state: EWMA of per-link demand, one row per class.
-  std::vector<std::vector<double>> demand_ewma_;
-
-  std::thread controller_;
-  std::mutex controller_mu_;
-  std::condition_variable controller_cv_;
-  bool controller_stop_ = false;
 
   obs::Counter* ctr_bytes_[kClassCount] = {};
   obs::Counter* ctr_grants_[kClassCount] = {};

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
 
+#include "common/debt_bucket.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -283,6 +285,45 @@ TEST(FlagParser, ExplicitFalse) {
   FlagParser flags(3, const_cast<char**>(argv));
   EXPECT_FALSE(flags.get_bool("opt", true));
   EXPECT_FALSE(flags.get_bool("zero", true));
+}
+
+// ----------------------------------------------------------- debt bucket
+
+// Fixed time points, no real clock: 1000 B/s, cap 500 B, full at t = 0.
+TEST(DebtBucket, CapsRefillAndReportsTheDebtWait) {
+  using TimePoint = DebtBucket::TimePoint;
+  const auto at = [](double s) {
+    return TimePoint{} + std::chrono::duration_cast<TimePoint::duration>(
+                             std::chrono::duration<double>(s));
+  };
+  DebtBucket bucket(1000, 500, at(0));
+  EXPECT_DOUBLE_EQ(bucket.tokens(), 500);
+
+  // Idle time never fills past the cap.
+  bucket.refill(at(10));
+  EXPECT_DOUBLE_EQ(bucket.tokens(), 500);
+
+  // A charge takes the full request, even into debt; the reported wait is
+  // the debt at the refill rate.
+  bucket.charge(800);
+  EXPECT_DOUBLE_EQ(bucket.tokens(), -300);
+  EXPECT_DOUBLE_EQ(bucket.seconds_until(0), 0.3);
+  EXPECT_DOUBLE_EQ(bucket.seconds_until(200), 0.5);
+
+  // Sleeping the wait off repays the debt exactly once: refilling at the
+  // wait's end lands on zero, and a repeated or earlier refill adds nothing.
+  bucket.refill(at(10.3));
+  EXPECT_NEAR(bucket.tokens(), 0, 1e-6);
+  bucket.refill(at(10.3));
+  bucket.refill(at(10.1));
+  EXPECT_NEAR(bucket.tokens(), 0, 1e-6);
+  EXPECT_NEAR(bucket.seconds_until(0), 0, 1e-9);
+
+  // Charging within the balance leaves no wait.
+  bucket.refill(at(10.5));
+  EXPECT_NEAR(bucket.tokens(), 200, 1e-6);
+  bucket.charge(150);
+  EXPECT_DOUBLE_EQ(bucket.seconds_until(0), 0);
 }
 
 }  // namespace

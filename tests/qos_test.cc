@@ -1,7 +1,8 @@
 // Tests for the cluster-wide QoS subsystem (qos/qos.h, qos/scheduler.h):
 // deterministic WFQ grant order and convergence on FairQueueCore, real-time
 // fairness / work-conservation / starvation-freedom / budget properties on
-// LinkScheduler and ThrottledTransport, context-scope semantics, and the
+// LinkScheduler, the cluster-wide class budget on QosScheduler, weighted
+// shares through ThrottledTransport, context-scope semantics, and the
 // byte-identity sweep (invariant 11) over a full MiniCfs
 // encode / kill / repair / read sequence with QoS off vs on.
 //
@@ -170,7 +171,6 @@ TEST(FairQueueCore, UnchargedRequestsBypassBudgetAdmission) {
 // without competition.
 TEST(LinkScheduler, SingleFlowGetsFullLinkRate) {
   QosConfig cfg;
-  cfg.rebalance_period = 0;  // no controller on a bare link
   const double spb = 1.0 / 40e6;  // 40 MB/s
   LinkScheduler link(spb, cfg);
 
@@ -191,10 +191,9 @@ TEST(LinkScheduler, SingleFlowGetsFullLinkRate) {
 // idle the link for other classes.
 TEST(LinkScheduler, UnusedBudgetDoesNotIdleTheLink) {
   QosConfig cfg;
-  cfg.rebalance_period = 0;
+  cfg.class_rate[static_cast<int>(kRepair)] = 1000;  // ~nothing
   const double spb = 1.0 / 40e6;
   LinkScheduler link(spb, cfg);
-  link.set_class_rate(static_cast<int>(kRepair), 1000);  // ~nothing
 
   const Bytes total = 2 * 1024 * 1024;
   const auto t0 = Clock::now();
@@ -212,12 +211,11 @@ TEST(LinkScheduler, UnusedBudgetDoesNotIdleTheLink) {
 // bucket refill time; an uncharged request of the same class is not.
 TEST(LinkScheduler, BudgetDefersChargedButNotUnchargedHops) {
   QosConfig cfg;
-  cfg.rebalance_period = 0;
+  // Rate 512 KB/s, bucket starts full at max(rate/2, 256KB) = 256KB.
+  cfg.class_rate[static_cast<int>(kRepair)] = 512 * 1024;
   const double spb = 1.0 / 200e6;  // fast link: waits are bucket waits
   LinkScheduler link(spb, cfg);
   const Bytes kB = 256 * 1024;
-  // Rate 512 KB/s, bucket starts full at max(rate/2, 256KB) = 256KB.
-  link.set_class_rate(static_cast<int>(kRepair), 512 * 1024);
 
   // The bucket is debt-style (admit while tokens are positive, charge the
   // full request): the first request drains the full bucket, the second is
@@ -279,7 +277,6 @@ TEST(LinkScheduler, UnboundedHorizonGrantsOnArrivalInCallOrder) {
 // be starved.
 TEST(LinkScheduler, LowWeightFlowIsNotStarved) {
   QosConfig cfg;
-  cfg.rebalance_period = 0;
   cfg.tenant_weight[1] = 3.0;
   const double spb = 1.0 / 40e6;
   LinkScheduler link(spb, cfg);
@@ -312,6 +309,75 @@ TEST(LinkScheduler, LowWeightFlowIsNotStarved) {
   // Expected share 1/13; require at least 1/50 (starvation would be ~0).
   EXPECT_GT(static_cast<double>(bg_bytes.load()),
             static_cast<double>(fg_bytes.load()) / 50.0);
+}
+
+// ------------------------------------------------------------- QosScheduler
+
+// perfbench qos-repair's link table, in ThrottledTransport's order: 6 racks
+// x 2 nodes at 32 MB/s — node up-links, node down-links, rack up-links, rack
+// down-links — then 12 free disks (disk_bw 0): 48 links.
+std::vector<double> qos_repair_links() {
+  std::vector<double> spb(36, 1.0 / 32e6);
+  spb.resize(48, 1.0 / 1e18);
+  return spb;
+}
+
+constexpr double kRepairBudget = 24e6;
+
+// Drives 128 KB repair chunks from one thread per entry of `links`, through
+// a QosScheduler with qos-repair's settings, and returns their combined
+// granted rate over `window` seconds.  The window opens after `warmup`
+// seconds, once the budget's initial burst (its full bucket, half a second
+// of rate) is spent.
+double sustained_repair_rate(const std::vector<int>& links, double warmup,
+                             double window) {
+  QosConfig cfg;
+  cfg.enable = true;
+  cfg.tenant_weight[1] = 3.0;
+  cfg.tenant_weight[2] = 1.0;
+  cfg.class_rate[static_cast<int>(kRepair)] = kRepairBudget;
+  cfg.class_weight[static_cast<int>(kRepair)] = 2.0;
+  QosScheduler sched(qos_repair_links(), cfg);
+
+  const Bytes kChunk = 128_KB;
+  std::atomic<bool> running{true};
+  std::atomic<int64_t> granted{0};
+  std::vector<std::thread> drivers;
+  for (const int link : links) {
+    drivers.emplace_back([&, link] {
+      while (running.load(std::memory_order_relaxed)) {
+        sched.request(link, ctx_of(kRepair, 0), kChunk);
+        granted.fetch_add(kChunk, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::duration<double>(warmup));
+  const auto t1 = Clock::now();
+  const int64_t b1 = granted.load();
+  std::this_thread::sleep_for(std::chrono::duration<double>(window));
+  const int64_t b2 = granted.load();
+  const double elapsed = seconds_since(t1);
+  running.store(false);
+  for (auto& d : drivers) d.join();
+  return static_cast<double>(b2 - b1) / elapsed;
+}
+
+// The budget is cluster-wide, not split across links: repair traffic on a
+// single node up-link spends all of it, though 47 other links could draw
+// from it.  The up-link (32 MB/s) is faster than the budget, so the budget
+// is what binds.  Its burst drains at 32 - 24 MB/s, 12 MB in 1.5 s.
+TEST(QosScheduler, OneLinkSpendsTheWholeClassBudget) {
+  const double rate = sustained_repair_rate({0}, 2.0, 1.0);
+  EXPECT_GT(rate, 0.95 * kRepairBudget);
+  EXPECT_LT(rate, 1.05 * kRepairBudget);
+}
+
+// Four up-links at once share the one budget: together they get
+// class_rate, not class_rate each.
+TEST(QosScheduler, LinksShareOneClassBudget) {
+  const double rate = sustained_repair_rate({0, 2, 4, 6}, 0.5, 1.0);
+  EXPECT_GT(rate, 0.9 * kRepairBudget);
+  EXPECT_LT(rate, 1.1 * kRepairBudget);
 }
 
 // -------------------------------------------------------- ThrottledTransport
