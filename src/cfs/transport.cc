@@ -1,6 +1,7 @@
 #include "cfs/transport.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <thread>
@@ -22,17 +23,33 @@ qos::QosConfig link_discipline(const qos::QosConfig& qos) {
   return fifo;
 }
 
+std::atomic<uint64_t> g_next_transport_id{1};
+
+// The calling thread's last sleep on a chunk: which transport it was, the
+// reservation end it slept until (E) and when it woke (W).  One record per
+// thread: a thread alternating between transports only loses credit.
+struct WakeRecord {
+  uint64_t transport = 0;
+  std::chrono::steady_clock::time_point slept_until{};
+  std::chrono::steady_clock::time_point woke{};
+};
+thread_local WakeRecord t_wake;
+
 }  // namespace
 
 ThrottledTransport::ThrottledTransport(const Topology& topo,
                                        const ThrottleConfig& config)
     : topo_(topo),
       config_(config),
-      links_(link_seconds_per_byte(), link_discipline(config.qos)) {
+      id_(g_next_transport_id.fetch_add(1, std::memory_order_relaxed)),
+      seconds_per_byte_(link_seconds_per_byte()),
+      links_(seconds_per_byte_, link_discipline(config.qos)) {
   auto& reg = obs::Registry::instance();
   ctr_cross_ = &reg.counter("testbed.net.cross_rack_bytes");
   ctr_intra_ = &reg.counter("testbed.net.intra_rack_bytes");
   ctr_transfers_ = &reg.counter("testbed.net.transfers");
+  hist_lag_credit_ = &reg.histogram("testbed.net.lag_credit_seconds",
+                                    {1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2});
   if (obs::trace_enabled() && obs::config().link_sample_period > 0) {
     start_sampler(obs::config().link_sample_period);
   }
@@ -65,21 +82,22 @@ void ThrottledTransport::local_read(NodeId node, Bytes size) {
   obs::Span span("net.disk_read", "net");
   span.arg("node", node);
   span.arg("bytes", size);
-  Bytes remaining = size;
-  while (remaining > 0) {
-    const Bytes chunk = std::min(remaining, config_.chunk_size);
-    remaining -= chunk;
-    std::this_thread::sleep_until(reserve(disk(node), chunk));
-  }
+  const int path[] = {disk(node)};
+  move_chunks(path, size, /*wait=*/true);
 }
 
-ThrottledTransport::Clock::time_point ThrottledTransport::reserve(
-    int idx, Bytes bytes, bool charge) {
-  // The slot goes to the calling thread's ambient (class, tenant) flow: in
-  // arrival order under FIFO, in weighted virtual-finish order under QoS.
-  // Either way the reservation is for the same bytes on the same link —
-  // only its start time differs.
-  return links_.request(idx, qos::current_context(), bytes, charge);
+ThrottledTransport::Clock::duration ThrottledTransport::lag_credit() const {
+  const WakeRecord& w = t_wake;
+  if (w.transport != id_) return Clock::duration::zero();
+  // A chunk starting `lag` before its grant starts no earlier than E plus
+  // the time the thread spent since waking, so that time is never erased.
+  const Clock::duration lag = w.woke - w.slept_until;
+  return Clock::now() - w.woke <= lag ? lag : Clock::duration::zero();
+}
+
+void ThrottledTransport::sleep_until(Clock::time_point end) const {
+  std::this_thread::sleep_until(end);
+  t_wake = {id_, end, Clock::now()};
 }
 
 void ThrottledTransport::transfer(NodeId src, NodeId dst, Bytes size) {
@@ -94,14 +112,15 @@ void ThrottledTransport::do_transfer(NodeId src, NodeId dst, Bytes size,
                                      bool wait) {
   if (src == dst || size == 0) return;
 
-  std::vector<int> path;
-  path.push_back(node_up(src));
+  std::array<int, 4> path;
+  size_t hops = 0;
+  path[hops++] = node_up(src);
   const bool cross = !topo_.same_rack(src, dst);
   if (cross) {
-    path.push_back(rack_up(topo_.rack_of(src)));
-    path.push_back(rack_down(topo_.rack_of(dst)));
+    path[hops++] = rack_up(topo_.rack_of(src));
+    path[hops++] = rack_down(topo_.rack_of(dst));
   }
-  path.push_back(node_down(dst));
+  path[hops++] = node_down(dst);
 
   obs::Span span(!wait              ? "net.inject"
                  : cross            ? "net.transfer.cross"
@@ -111,22 +130,7 @@ void ThrottledTransport::do_transfer(NodeId src, NodeId dst, Bytes size,
   span.arg("dst", dst);
   span.arg("bytes", size);
 
-  Bytes remaining = size;
-  while (remaining > 0) {
-    const Bytes chunk = std::min(remaining, config_.chunk_size);
-    remaining -= chunk;
-    Clock::time_point done = Clock::now();
-    // The chunk occupies each link of the path; links operate in parallel
-    // (cut-through), so the chunk lands when the slowest reservation ends.
-    // The QoS class budget is charged on the first hop only — a serial
-    // path must not be metered once per link.
-    bool charge = true;
-    for (const int idx : path) {
-      done = std::max(done, reserve(idx, chunk, charge));
-      charge = false;
-    }
-    if (wait) std::this_thread::sleep_until(done);
-  }
+  move_chunks(std::span<const int>(path.data(), hops), size, wait);
 
   if (cross) {
     cross_ += size;
@@ -136,6 +140,47 @@ void ThrottledTransport::do_transfer(NodeId src, NodeId dst, Bytes size,
     ctr_intra_->add(size);
   }
   ctr_transfers_->add();
+}
+
+void ThrottledTransport::move_chunks(std::span<const int> path, Bytes size,
+                                     bool wait) {
+  double slowest = 0;  // seconds per byte of the path's slowest link
+  for (const int idx : path) {
+    slowest = std::max(slowest, seconds_per_byte_[static_cast<size_t>(idx)]);
+  }
+  // Every slot goes to the calling thread's ambient (class, tenant) flow:
+  // in arrival order under FIFO, in weighted virtual-finish order under
+  // QoS.  Either way the reservation is for the same bytes on the same
+  // link — only its start time differs.
+  const qos::TransferContext ctx = qos::current_context();
+  Bytes remaining = size;
+  while (remaining > 0) {
+    const Bytes chunk = std::min(remaining, config_.chunk_size);
+    remaining -= chunk;
+    const Clock::duration credit =
+        wait ? lag_credit() : Clock::duration::zero();
+    // The chunk occupies each link of the path; links operate in parallel
+    // (cut-through), so the chunk lands when the slowest reservation ends.
+    // The QoS class budget is charged on the first hop only — a serial
+    // path must not be metered once per link.
+    Clock::time_point done{};
+    bool charge = true;
+    for (const int idx : path) {
+      done = std::max(done, links_.request(idx, ctx, chunk, charge, credit));
+      charge = false;
+    }
+    if (credit > Clock::duration::zero()) {
+      // How much sooner the chunk lands than it would have uncredited: at
+      // most the credit, and nothing where the path was already busy.
+      const double sooner =
+          std::chrono::duration<double>(Clock::now() - done).count() +
+          static_cast<double>(chunk) * slowest;
+      const double credited =
+          std::min(sooner, std::chrono::duration<double>(credit).count());
+      if (credited > 0) hist_lag_credit_->record(credited);
+    }
+    if (wait) sleep_until(done);
+  }
 }
 
 // ------------------------------------------------------- link sampler (obs)

@@ -8,7 +8,10 @@
 //    (node up/down, rack up/down, per-node disk) is a fluid reservation
 //    timeline with a configured bandwidth, kept by a qos::LinkScheduler;
 //    concurrent transfers contend chunk-by-chunk in real time, reproducing
-//    the cross-rack bottleneck physically.  With qos.enable off the
+//    the cross-rack bottleneck physically.  A sender's back-to-back chunks
+//    keep its links busy: each chunk may start as early as the sender's
+//    last wake-up lag allows (the lag credit), so the emulated link does not
+//    idle while the thread's sleep overruns.  With qos.enable off the
 //    scheduler runs as FIFO (unbounded grant horizon, no class budgets:
 //    every reservation is granted in arrival order); with it on, in
 //    weighted fair order.
@@ -20,6 +23,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,15 +168,24 @@ class ThrottledTransport final : public Transport {
   }
   int link_count() const { return disk(topo_.node_count()); }
   // Per-link seconds per byte in table order (disk_bw 0 = a free disk).
-  // Reads only topo_ and config_, so the constructor builds links_ from it.
+  // Reads only topo_ and config_, so the constructor builds
+  // seconds_per_byte_ (and links_ from it) with it.
   std::vector<double> link_seconds_per_byte() const;
 
-  // Reserves `bytes` on link `idx`; returns when the reservation ends.
-  // `charge` marks the one hop per chunk that draws the QoS class budget
-  // (FIFO sets no budget, so it only steers the qos.class.* counters).
-  Clock::time_point reserve(int idx, Bytes bytes, bool charge = true);
-
   void do_transfer(NodeId src, NodeId dst, Bytes size, bool wait);
+  // Moves `size` bytes chunk by chunk over every link of `path` at once
+  // (cut-through).  With `wait` the caller sleeps until each chunk lands
+  // and its wake-up lag is credited to its next chunk; without, nothing
+  // sleeps and nothing is credited (injected traffic).  The first hop of
+  // each chunk draws the QoS class budget (FIFO sets no budget, so it only
+  // steers the qos.class.* counters).
+  void move_chunks(std::span<const int> path, Bytes size, bool wait);
+  // The calling thread's wake-up lag credit on this transport: how far it
+  // overslept its last chunk here, if it asks within that long of waking;
+  // else zero.
+  Clock::duration lag_credit() const;
+  // Sleeps until `end` and records the oversleep for lag_credit.
+  void sleep_until(Clock::time_point end) const;
 
   // Link-utilization sampler (obs): a background thread that periodically
   // snapshots every link's queued bytes and busy share since the previous
@@ -185,6 +198,8 @@ class ThrottledTransport final : public Transport {
 
   Topology topo_;
   ThrottleConfig config_;
+  const uint64_t id_;  // keys the per-thread wake-up record
+  const std::vector<double> seconds_per_byte_;  // link table order
   qos::QosScheduler links_;  // one LinkScheduler per link of the table
   std::atomic<int64_t> cross_{0};
   std::atomic<int64_t> intra_{0};
@@ -192,6 +207,7 @@ class ThrottledTransport final : public Transport {
   obs::Counter* ctr_cross_ = nullptr;
   obs::Counter* ctr_intra_ = nullptr;
   obs::Counter* ctr_transfers_ = nullptr;
+  obs::Histogram* hist_lag_credit_ = nullptr;  // seconds credited per chunk
 
   std::thread sampler_;
   std::mutex sampler_mu_;

@@ -127,14 +127,15 @@ LinkScheduler::LinkScheduler(double seconds_per_byte, const QosConfig& config,
       core_(config) {}
 
 LinkScheduler::Clock::time_point LinkScheduler::request(
-    const TransferContext& ctx, Bytes bytes, bool charge) {
+    const TransferContext& ctx, Bytes bytes, bool charge,
+    Clock::duration credit) {
   std::unique_lock<std::mutex> lk(mu_);
   auto now = Clock::now();
 
   // Fast path: idle link within the horizon, nobody queued, budget ok.
   if (core_.empty() && available_at_ - now <= horizon_ &&
       (!charge || budget_->admit(static_cast<int>(ctx.cls), bytes, now))) {
-    auto start = std::max(now, available_at_);
+    auto start = std::max(now - credit, available_at_);
     double secs = static_cast<double>(bytes) * seconds_per_byte_;
     available_at_ = start + to_duration(secs);
     busy_seconds_ += secs;
@@ -143,7 +144,7 @@ LinkScheduler::Clock::time_point LinkScheduler::request(
 
   const uint64_t id = core_.add(ctx, bytes, charge);
   waiting_bytes_ += bytes;
-  grants_.emplace(id, Grant{});
+  grants_.emplace(id, Grant{.credit = credit});
   while (true) {
     try_grant_locked(Clock::now());
     auto it = grants_.find(id);
@@ -170,12 +171,14 @@ void LinkScheduler::try_grant_locked(Clock::time_point now) {
             &r)) {
       break;
     }
-    auto start = std::max(now, available_at_);
+    // A deferred request is backdated from its grant, never from its
+    // arrival: the wait itself is not credited.
+    auto& g = grants_[r.id];
+    auto start = std::max(now - g.credit, available_at_);
     double secs = static_cast<double>(r.bytes) * seconds_per_byte_;
     available_at_ = start + to_duration(secs);
     busy_seconds_ += secs;
     waiting_bytes_ -= r.bytes;
-    auto& g = grants_[r.id];
     g.granted = true;
     g.end = available_at_;
     granted_any = true;
@@ -236,7 +239,8 @@ QosScheduler::QosScheduler(const std::vector<double>& seconds_per_byte,
 }
 
 QosScheduler::Clock::time_point QosScheduler::request(
-    int link, const TransferContext& ctx, Bytes bytes, bool charge) {
+    int link, const TransferContext& ctx, Bytes bytes, bool charge,
+    Clock::duration credit) {
   const int c = static_cast<int>(ctx.cls);
   {
     std::lock_guard<std::mutex> lk(queued_mu_);
@@ -244,7 +248,8 @@ QosScheduler::Clock::time_point QosScheduler::request(
     gauge_queued_[c]->set(static_cast<double>(queued_bytes_[c]));
   }
   auto t0 = Clock::now();
-  auto end = links_[static_cast<size_t>(link)]->request(ctx, bytes, charge);
+  auto end =
+      links_[static_cast<size_t>(link)]->request(ctx, bytes, charge, credit);
   auto granted = Clock::now();
   {
     std::lock_guard<std::mutex> lk(queued_mu_);

@@ -27,7 +27,10 @@
 //    classes' share.  Charged requests of a capped class are admitted
 //    against the ClassBudget at grant time: while the class is in debt its
 //    requests are skipped — not reordered away, merely deferred — and the
-//    link hands the slot to the next admissible vfinish.
+//    link hands the slot to the next admissible vfinish.  A caller may pass
+//    its wake-up lag as a credit: its slot then starts up to that long
+//    before its grant, never before the timeline's end (DESIGN.md
+//    "Work-conserving senders").
 //
 //  * QosScheduler — the cluster view: all links of one transport and the
 //    ClassBudget they share.
@@ -167,8 +170,12 @@ class LinkScheduler {
   // the reservation ends (the caller sleeps until then for a delivered
   // transfer, or not at all for injected traffic).  `charge` = this hop
   // draws from the class byte budget (one hop per transfer chunk does).
+  // `credit` is the caller's wake-up lag: the slot may start that much
+  // before the grant, never before the timeline's end, so a sender's own
+  // oversleep does not idle the link between its back-to-back chunks.
   Clock::time_point request(const TransferContext& ctx, Bytes bytes,
-                            bool charge = true);
+                            bool charge = true,
+                            Clock::duration credit = Clock::duration::zero());
 
   // Sampler interface.
   struct Sample {
@@ -196,6 +203,7 @@ class LinkScheduler {
   struct Grant {
     bool granted = false;
     Clock::time_point end{};
+    Clock::duration credit{};  // the requester's, applied at its grant
   };
   std::map<uint64_t, Grant> grants_;  // ticket -> grant state
   Clock::time_point available_at_{};
@@ -219,9 +227,11 @@ class QosScheduler {
 
   // Blocks until granted; returns the reservation end.  Also feeds the
   // qos.class.* byte counters (charged hops only, so a transfer's bytes
-  // count once) and the grant-latency histogram.
+  // count once) and the grant-latency histogram.  `credit` as for
+  // LinkScheduler::request.
   Clock::time_point request(int link, const TransferContext& ctx, Bytes bytes,
-                            bool charge = true);
+                            bool charge = true,
+                            Clock::duration credit = Clock::duration::zero());
 
   LinkScheduler::Sample sample(int link, Clock::time_point now) const {
     return links_[static_cast<size_t>(link)]->sample(now);

@@ -12,11 +12,15 @@
 // loosely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cfs/minicfs.h"
@@ -271,6 +275,72 @@ TEST(LinkScheduler, UnboundedHorizonGrantsOnArrivalInCallOrder) {
   EXPECT_EQ(s.busy_seconds, static_cast<double>(total));
 }
 
+// Lag credit: a request may start up to `credit` before its grant, never
+// before the timeline's end.  Two threads interleaving credited requests on
+// one link, FIFO and fair alike, never overlap reservations, and none is
+// backdated by more than its credit.
+TEST(LinkScheduler, LagCreditNeverOverlapsTheTimeline) {
+  QosConfig fifo;
+  fifo.grant_horizon = std::numeric_limits<Seconds>::infinity();
+  for (const QosConfig& cfg : {fifo, QosConfig{}}) {
+    SCOPED_TRACE(std::isinf(cfg.grant_horizon) ? "FIFO" : "fair");
+    const double spb = 1e-8;  // 100 MB/s: an 8 KiB request lasts ~82 us
+    LinkScheduler link(spb, cfg);
+    const Bytes kReq = 8 * 1024;
+    const auto secs = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(static_cast<double>(kReq) * spb));
+    const auto credit = std::chrono::milliseconds(2);
+
+    std::mutex mu;
+    std::vector<std::pair<Clock::time_point, Clock::time_point>> slots;
+    std::atomic<int> early{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < 200; ++i) {
+          const auto asked = Clock::now();
+          const auto end = link.request(ctx_of(kFgRead, t), kReq, true, credit);
+          if (end - secs < asked - credit) early.fetch_add(1);
+          {
+            std::lock_guard<std::mutex> lk(mu);
+            slots.emplace_back(end - secs, end);
+          }
+          std::this_thread::sleep_until(end);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(early.load(), 0);
+    std::sort(slots.begin(), slots.end());
+    for (size_t i = 1; i < slots.size(); ++i) {
+      EXPECT_GE(slots[i].first, slots[i - 1].second) << "slot " << i;
+    }
+  }
+}
+
+// A budget-deferred request is backdated from its grant, not its arrival:
+// waiting on the class budget is never credited.  (FIFO has no budgets.)
+TEST(LinkScheduler, LagCreditNeverBackdatesPastTheGrant) {
+  QosConfig cfg;
+  cfg.class_rate[static_cast<int>(kRepair)] = 512 * 1024;
+  const double spb = 1.0 / 200e6;
+  LinkScheduler link(spb, cfg);
+  const Bytes kB = 256 * 1024;
+
+  // Into debt as in BudgetDefersChargedButNotUnchargedHops: the next
+  // charged request waits ~0.5 s for the refill.
+  link.request(ctx_of(kRepair, 0), kB);
+  link.request(ctx_of(kRepair, 0), kB);
+
+  const auto credit = std::chrono::milliseconds(100);
+  const auto t0 = Clock::now();
+  const auto end = link.request(ctx_of(kRepair, 0), kB, true, credit);
+  // Granted no sooner than ~t0 + 0.5 s, so it ends after t0 + 0.4 s - 0.1
+  // s; backdated from its arrival it would end before t0.
+  EXPECT_GT(std::chrono::duration<double>(end - t0).count(), 0.3);
+}
+
 // Starvation-freedom: a weight-1 background flow keeps making progress
 // while a weight-12 foreground flow saturates the link from several
 // threads.  WFQ gives it ~weight share; the assertion only requires it not
@@ -330,7 +400,8 @@ constexpr double kRepairBudget = 24e6;
 // seconds, once the budget's initial burst (its full bucket, half a second
 // of rate) is spent.
 double sustained_repair_rate(const std::vector<int>& links, double warmup,
-                             double window) {
+                             double window,
+                             Clock::duration credit = Clock::duration::zero()) {
   QosConfig cfg;
   cfg.enable = true;
   cfg.tenant_weight[1] = 3.0;
@@ -346,7 +417,7 @@ double sustained_repair_rate(const std::vector<int>& links, double warmup,
   for (const int link : links) {
     drivers.emplace_back([&, link] {
       while (running.load(std::memory_order_relaxed)) {
-        sched.request(link, ctx_of(kRepair, 0), kChunk);
+        sched.request(link, ctx_of(kRepair, 0), kChunk, true, credit);
         granted.fetch_add(kChunk, std::memory_order_relaxed);
       }
     });
@@ -376,6 +447,15 @@ TEST(QosScheduler, OneLinkSpendsTheWholeClassBudget) {
 // class_rate, not class_rate each.
 TEST(QosScheduler, LinksShareOneClassBudget) {
   const double rate = sustained_repair_rate({0, 2, 4, 6}, 0.5, 1.0);
+  EXPECT_GT(rate, 0.9 * kRepairBudget);
+  EXPECT_LT(rate, 1.1 * kRepairBudget);
+}
+
+// The lag credit moves reservations on the timeline, never the bytes the
+// budget admits: credited requests still share class_rate.
+TEST(QosScheduler, LagCreditLeavesTheClassBudget) {
+  const double rate = sustained_repair_rate({0, 2, 4, 6}, 0.5, 1.0,
+                                            std::chrono::milliseconds(1));
   EXPECT_GT(rate, 0.9 * kRepairBudget);
   EXPECT_LT(rate, 1.1 * kRepairBudget);
 }

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "qos/qos.h"
 
 namespace ear::cfs {
@@ -128,6 +130,122 @@ TEST(ThrottledTransport, FifoIgnoresClassBudgets) {
   const double elapsed = timed([&] { t.inject(0, 2, 8_MB); });
   EXPECT_LT(elapsed, 1.0);
   EXPECT_EQ(t.cross_rack_bytes(), 8_MB);
+}
+
+// ------------------------------------------------------ wake-up lag credit
+
+// 2 MiB at 20 MB/s in 8 KiB chunks: 256 chunks, 104.9 ms of wire (or disk)
+// time.  A stop-and-wait sender idles its link for its wake-up lag after
+// every chunk — some 60-100 us each, 15-25% over on this shape.
+constexpr Bytes kLoneBytes = 2_MB;
+constexpr double kLoneSeconds = static_cast<double>(kLoneBytes) / 20e6;
+
+ThrottleConfig small_chunks() {
+  ThrottleConfig cfg;
+  cfg.node_bw = 20e6;
+  cfg.rack_uplink_bw = 20e6;
+  cfg.disk_bw = 20e6;
+  cfg.chunk_size = 8_KB;
+  return cfg;
+}
+
+double on_fresh_thread(const std::function<void()>& fn) {
+  double elapsed = 0;
+  std::thread([&] { elapsed = timed(fn); }).join();
+  return elapsed;
+}
+
+// A lone sender's back-to-back chunks keep its links busy: the transfer
+// lasts its wire time, not that plus a wake-up lag per chunk.
+TEST(ThrottledTransport, LoneChunkedTransferRunsAtWireSpeed) {
+  for_each_discipline(Topology(2, 2), small_chunks(), [](ThrottledTransport& t) {
+    const double elapsed = timed([&] { t.transfer(0, 2, kLoneBytes); });
+    EXPECT_LT(elapsed, 1.05 * kLoneSeconds);
+  });
+}
+
+TEST(ThrottledTransport, LoneChunkedLocalReadRunsAtDiskSpeed) {
+  for_each_discipline(Topology(2, 2), small_chunks(), [](ThrottledTransport& t) {
+    const double elapsed = timed([&] { t.local_read(1, kLoneBytes); });
+    EXPECT_LT(elapsed, 1.05 * kLoneSeconds);
+  });
+}
+
+// The credit only gives back a thread's own oversleep, so a transfer or
+// disk read issued from a fresh thread never beats bytes / bandwidth.
+TEST(LagCredit, FreshThreadNeverBeatsWireTime) {
+  for_each_discipline(Topology(2, 2), small_chunks(), [](ThrottledTransport& t) {
+    EXPECT_GE(on_fresh_thread([&] { t.transfer(0, 2, kLoneBytes); }),
+              kLoneSeconds);
+    EXPECT_GE(on_fresh_thread([&] { t.local_read(1, kLoneBytes); }),
+              kLoneSeconds);
+  });
+}
+
+// The credit is the thread's own oversleep and no more, so its serial
+// steps never overlap even where the next one runs on an idle link: a disk
+// read then a transfer of what was read take at least their sum, however
+// many times over.
+TEST(LagCredit, SerialStepsOnOtherLinksNeverOverlap) {
+  for_each_discipline(Topology(2, 2), small_chunks(), [](ThrottledTransport& t) {
+    constexpr int kSteps = 64;
+    const double elapsed = on_fresh_thread([&] {
+      for (int i = 0; i < kSteps; ++i) {
+        t.local_read(0, 8_KB);
+        t.transfer(0, 2, 8_KB);
+      }
+    });
+    EXPECT_GE(elapsed, kSteps * 2 * static_cast<double>(8_KB) / 20e6);
+  });
+}
+
+// A thread that spends longer than its credit on CPU or asleep between two
+// transfers is no longer back to back: its next chunk gets no credit (the
+// testbed.net.lag_credit_seconds histogram records none) and lasts at
+// least its wire time.
+TEST(LagCredit, NoCreditAfterALongerGap) {
+  obs::Config ocfg;
+  ocfg.metrics = true;
+  obs::init(ocfg);
+  constexpr auto kGap = std::chrono::milliseconds(50);
+  const std::function<void()> gaps[] = {
+      [&] {
+        const auto until = Clock::now() + kGap;
+        while (Clock::now() < until) {
+        }
+      },
+      [&] { std::this_thread::sleep_for(kGap); },
+  };
+  for_each_discipline(Topology(2, 2), small_chunks(), [&](ThrottledTransport& t) {
+    // Registered by the transport; the lookup returns its instrument.
+    const auto& credited = obs::Registry::instance().histogram(
+        "testbed.net.lag_credit_seconds", {});
+    for (const auto& gap : gaps) {
+      const int64_t warm = credited.count();
+      t.transfer(0, 2, 64_KB);  // 8 back-to-back chunks: credit is live
+      EXPECT_GT(credited.count(), warm);
+      gap();
+      const int64_t before = credited.count();
+      const double elapsed = timed([&] { t.transfer(0, 2, 8_KB); });
+      EXPECT_EQ(credited.count(), before);
+      EXPECT_GE(elapsed, static_cast<double>(8_KB) / 20e6);
+    }
+  });
+  obs::shutdown();
+}
+
+// Two threads interleaving chunks on one up-link share it: credit or not,
+// the link never carries more than its rate.
+TEST(LagCredit, SharedLinkNeverBeatsItsRate) {
+  for_each_discipline(Topology(3, 1), small_chunks(), [](ThrottledTransport& t) {
+    std::vector<std::thread> threads;
+    const double together = timed([&] {
+      threads.emplace_back([&] { t.transfer(0, 1, kLoneBytes / 2); });
+      threads.emplace_back([&] { t.transfer(0, 2, kLoneBytes / 2); });
+      for (auto& th : threads) th.join();
+    });
+    EXPECT_GE(together, kLoneSeconds);
+  });
 }
 
 }  // namespace
