@@ -1,5 +1,5 @@
 // Microbenchmarks of the discrete-event substrate: raw event throughput of
-// the engine and flow churn in the max-min network model.
+// the engine and transfer churn on the network's FIFO reservation timeline.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -26,7 +26,7 @@ BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(10000);
 
 void BM_NetworkFlowChurn(benchmark::State& state) {
   // Continuously maintain `concurrency` random transfers; measures the cost
-  // of the max-min recompute at each start/finish.
+  // of the reservation events: one per 4 MB slot of each 64 MB transfer.
   const int concurrency = static_cast<int>(state.range(0));
   const Topology topo(20, 20);
   for (auto _ : state) {

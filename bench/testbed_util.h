@@ -57,7 +57,7 @@ struct TestbedParams {
     p.throttle.rack_uplink_bw =
         flags.get_double("rack-bw", p.throttle.node_bw);
     p.throttle.disk_bw = flags.get_double("disk-bw", 13e6);
-    p.throttle.chunk_size = std::max<Bytes>(64_KB, p.block_size / 16);
+    p.throttle.chunk_size = reservation_chunk(p.block_size);
     p.cache_bytes = static_cast<Bytes>(flags.get_int("cache-bytes", 0));
     p.ecdag = flags.get_bool("ecdag");
     p.seed = static_cast<uint64_t>(flags.get_int("seed", 1));

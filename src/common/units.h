@@ -27,6 +27,15 @@ constexpr Bytes operator""_GB(unsigned long long v) {
 constexpr BytesPerSec gbps(double v) { return v * 1e9 / 8.0; }
 constexpr BytesPerSec mbps(double v) { return v * 1e6 / 8.0; }
 
+// Reservation chunk of a transfer over emulated links: a transfer holds each
+// link in slots of size / 16, never smaller than 64 KB, so a short transfer
+// that arrives behind a long one waits at most one slot.  The testbed
+// benches size ThrottledTransport's chunk by it (bench/testbed_util.h), and
+// the simulator applies it to every transfer (sim/network.h).
+constexpr Bytes reservation_chunk(Bytes size) {
+  return size / 16 > 64_KB ? size / 16 : 64_KB;
+}
+
 constexpr double to_mb(Bytes b) {
   return static_cast<double>(b) / (1024.0 * 1024.0);
 }

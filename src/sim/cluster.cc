@@ -39,11 +39,15 @@ ClusterSim::~ClusterSim() = default;
 SimResult ClusterSim::run() {
   // ---- Pre-place the stripes to be encoded (they were written long before
   // the simulated window; their write traffic is not part of the run).
+  // Writers rotate round-robin over the nodes from one seeded start, as the
+  // testbed's pre-load does: a uniformly loaded ingest tier, which also
+  // balances EAR's core racks.
   const int target_stripes =
       config_.encode_processes * config_.stripes_per_process;
+  NodeId writer = random_node(topo_, rng_);
   while (static_cast<int>(policy_->sealed_stripes().size()) < target_stripes) {
-    const NodeId writer = random_node(topo_, rng_);
     policy_->place_block(next_block_id_++, writer);
+    writer = (writer + 1) % topo_.node_count();
   }
   stripes_ = policy_->sealed_stripes();
   stripes_.resize(static_cast<size_t>(target_stripes));

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 
 #include "obs/trace.h"
 
 namespace ear::sim {
 
 namespace {
-// Flows with fewer remaining bytes than this are considered finished
-// (guards against floating-point residue).
-constexpr double kEpsilonBytes = 1e-3;
-
 // Virtual-time flow spans are spread over a handful of trace lanes (tid on
 // pid kSimPid) so concurrent flows render side by side instead of stacking
 // on one row.
@@ -81,195 +75,50 @@ TransferId Network::start_flow(std::vector<int> links, Bytes size,
                                std::function<void()> on_complete,
                                const char* trace_name) {
   const TransferId id = next_id_++;
-  if (config_.sharing == SharingModel::kFifoReservation) {
+  ++in_flight_;
+  trace_in_flight();
+  // The whole chunked transfer appears as one virtual-time span when its
+  // last chunk lands.
+  on_complete = [this, trace_name, start = engine_->now(), size, id,
+                 inner = std::move(on_complete)] {
+    --in_flight_;
     if (obs::trace_enabled()) {
-      // Wrap the continuation so the whole chunked FIFO transfer appears as
-      // one virtual-time span when its last chunk lands.
-      on_complete = [trace_name, start = engine_->now(), size, id,
-                     engine = engine_, inner = std::move(on_complete)] {
-        obs::sim_complete(trace_name, "sim.net", start, engine->now(),
-                          flow_lane(id), {{"bytes", size}});
-        inner();
-      };
+      obs::sim_complete(trace_name, "sim.net", start, engine_->now(),
+                        flow_lane(id), {{"bytes", size}});
+      trace_in_flight();
     }
-    fifo_step(std::move(links), size, std::move(on_complete));
-    return id;
-  }
-
-  advance_flows();
-  Flow flow;
-  flow.id = id;
-  flow.remaining = static_cast<double>(size);
-  flow.on_complete = std::move(on_complete);
-  flow.links = std::move(links);
-  if (obs::trace_enabled()) {
-    flow.trace_name = trace_name;
-    flow.start = engine_->now();
-    flow.total = size;
-  }
-  flows_.push_back(std::move(flow));
-
-  recompute_rates();
-  schedule_next_completion();
-  trace_active_flows();
+    inner();
+  };
+  reserve(std::move(links), size, reservation_chunk(size),
+          std::move(on_complete));
   return id;
 }
 
-void Network::trace_active_flows() const {
+void Network::trace_in_flight() const {
   if (!obs::trace_enabled()) return;
-  obs::sim_counter("sim.active_flows", engine_->now(),
-                   {{"flows", static_cast<int64_t>(flows_.size())}});
+  obs::sim_counter("sim.active_flows", engine_->now(), {{"flows", in_flight_}});
 }
 
-void Network::fifo_step(std::vector<int> links, Bytes remaining,
-                        std::function<void()> on_complete) {
+void Network::reserve(std::vector<int> links, Bytes remaining, Bytes chunk,
+                      std::function<void()> on_complete) {
   if (remaining <= 0) {
     on_complete();
     return;
   }
-  const Bytes chunk = std::min(remaining, config_.fifo_chunk);
+  const Bytes len = std::min(remaining, chunk);
   Seconds done = engine_->now();
   for (const int l : links) {
     auto& avail = link_available_at_[static_cast<size_t>(l)];
     const Seconds start = std::max(engine_->now(), avail);
-    avail = start + static_cast<double>(chunk) /
+    avail = start + static_cast<double>(len) /
                         link_capacity_[static_cast<size_t>(l)];
     done = std::max(done, avail);
   }
-  engine_->schedule_at(
-      done, [this, links = std::move(links), remaining, chunk,
-             on_complete = std::move(on_complete)]() mutable {
-        fifo_step(std::move(links), remaining - chunk,
-                  std::move(on_complete));
-      });
-}
-
-void Network::advance_flows() {
-  const Seconds now = engine_->now();
-  const Seconds dt = now - last_update_;
-  last_update_ = now;
-  if (dt <= 0) return;
-  for (Flow& f : flows_) {
-    f.remaining -= f.rate * dt;
-    if (f.remaining < 0) f.remaining = 0;
-  }
-}
-
-void Network::recompute_rates() {
-  // Progressive filling: repeatedly find the most congested link (smallest
-  // fair share among its unfrozen flows), freeze those flows at that share,
-  // subtract, repeat.
-  const size_t link_count = link_capacity_.size();
-  std::vector<double> residual = link_capacity_;
-  std::vector<int> active(link_count, 0);
-  for (const Flow& f : flows_) {
-    for (const int l : f.links) ++active[static_cast<size_t>(l)];
-  }
-
-  std::vector<bool> frozen(flows_.size(), false);
-  size_t remaining_flows = flows_.size();
-  while (remaining_flows > 0) {
-    // Find the bottleneck link.
-    double best_share = std::numeric_limits<double>::infinity();
-    int bottleneck = -1;
-    for (size_t l = 0; l < link_count; ++l) {
-      if (active[l] <= 0) continue;
-      const double share = residual[l] / active[l];
-      if (share < best_share) {
-        best_share = share;
-        bottleneck = static_cast<int>(l);
-      }
-    }
-    if (bottleneck < 0) break;  // no active links left (shouldn't happen)
-
-    // Freeze every unfrozen flow crossing the bottleneck at best_share.
-    for (size_t i = 0; i < flows_.size(); ++i) {
-      if (frozen[i]) continue;
-      Flow& f = flows_[i];
-      if (std::find(f.links.begin(), f.links.end(), bottleneck) ==
-          f.links.end()) {
-        continue;
-      }
-      f.rate = best_share;
-      frozen[i] = true;
-      --remaining_flows;
-      for (const int l : f.links) {
-        residual[static_cast<size_t>(l)] -= best_share;
-        if (residual[static_cast<size_t>(l)] < 0) {
-          residual[static_cast<size_t>(l)] = 0;
-        }
-        --active[static_cast<size_t>(l)];
-      }
-    }
-  }
-}
-
-void Network::schedule_next_completion() {
-  if (completion_event_ != kInvalidEvent) {
-    engine_->cancel(completion_event_);
-    completion_event_ = kInvalidEvent;
-  }
-  if (flows_.empty()) return;
-
-  double earliest = std::numeric_limits<double>::infinity();
-  for (const Flow& f : flows_) {
-    if (f.rate <= 0) continue;
-    earliest = std::min(earliest, f.remaining / f.rate);
-  }
-  if (!std::isfinite(earliest)) return;  // all rates zero: deadlocked config
-  completion_event_ =
-      engine_->schedule_in(std::max(earliest, 0.0), [this] {
-        completion_event_ = kInvalidEvent;
-        on_completion_event();
-      });
-}
-
-void Network::on_completion_event() {
-  advance_flows();
-
-  // Collect and remove finished flows before invoking callbacks, since
-  // callbacks commonly start new transfers.
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->remaining <= kEpsilonBytes) {
-      if (it->trace_name != nullptr && obs::trace_enabled()) {
-        obs::sim_complete(it->trace_name, "sim.net", it->start,
-                          engine_->now(), flow_lane(it->id),
-                          {{"bytes", it->total}});
-      }
-      callbacks.push_back(std::move(it->on_complete));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  recompute_rates();
-  schedule_next_completion();
-  trace_active_flows();
-  for (auto& cb : callbacks) cb();
-}
-
-bool Network::check_rates_feasible() const {
-  std::vector<double> used(link_capacity_.size(), 0.0);
-  for (const Flow& f : flows_) {
-    for (const int l : f.links) used[static_cast<size_t>(l)] += f.rate;
-  }
-  for (size_t l = 0; l < used.size(); ++l) {
-    if (used[l] > link_capacity_[l] * (1.0 + 1e-9) + 1e-6) return false;
-  }
-  // Max-min property: every flow is limited by at least one saturated link.
-  for (const Flow& f : flows_) {
-    bool bottlenecked = false;
-    for (const int l : f.links) {
-      if (used[static_cast<size_t>(l)] >=
-          link_capacity_[static_cast<size_t>(l)] * (1.0 - 1e-6)) {
-        bottlenecked = true;
-        break;
-      }
-    }
-    if (!bottlenecked && !flows_.empty()) return false;
-  }
-  return true;
+  engine_->schedule_at(done, [this, links = std::move(links),
+                              remaining = remaining - len, chunk,
+                              on_complete = std::move(on_complete)]() mutable {
+    reserve(std::move(links), remaining, chunk, std::move(on_complete));
+  });
 }
 
 }  // namespace ear::sim

@@ -142,7 +142,9 @@ TEST(Accounting, MapReduceRemoteMapsMoveBytes) {
 TEST(Accounting, WriteThroughputBoundedByArrivals) {
   // Completed write bytes during the encoding window cannot exceed what the
   // Poisson stream could have issued (arrival rate x window, with slack for
-  // the in-flight backlog).
+  // the in-flight backlog).  The window must be long enough for the arrival
+  // count to settle near its mean: 20 stripes per process keep encoding
+  // busy for about 20 s.
   sim::SimConfig cfg;
   cfg.racks = 8;
   cfg.nodes_per_rack = 4;
@@ -152,7 +154,7 @@ TEST(Accounting, WriteThroughputBoundedByArrivals) {
   cfg.background_rate = 0;
   cfg.encode_start = 10.0;
   cfg.encode_processes = 4;
-  cfg.stripes_per_process = 5;
+  cfg.stripes_per_process = 20;
   cfg.seed = 37;
   const sim::SimResult r = sim::ClusterSim(cfg).run();
   const double window = r.encode_end - r.encode_begin;

@@ -122,10 +122,9 @@ TEST(EncodingJob, StrictIsNoSlowerThanNoneForEar) {
   EXPECT_LT(durations[0], durations[1]);
 }
 
-// Job outputs recorded on the code whose map tasks still hand-rolled the
-// download -> upload phases, before they ran on the simulator's shared
-// encode executor (sim/encode_flow.h).  One slot per node, so tasks queue
-// and a shifted completion would reorder dispatches.  Counts compare
+// Job outputs recorded once every link ran on the FIFO reservation timeline
+// in reservation_chunk(size) slots (sim/network.h).  One slot per node, so
+// tasks queue and a shifted completion would reorder dispatches.  Counts compare
 // exactly, durations to a relative 1e-9.
 TEST(EncodingJob, OutputsMatchThePinnedRuns) {
   struct Pinned {
@@ -136,13 +135,13 @@ TEST(EncodingJob, OutputsMatchThePinnedRuns) {
     int64_t cross_rack_bytes;
   };
   static const Pinned kPinned[] = {
-      {EncodingLocality::kStrict, true, 2.0132659199999998, 0, 805306368},
-      {EncodingLocality::kStrict, false, 4.7131795127240483, 112, 2634022912},
-      {EncodingLocality::kPreferred, true, 2.0132659199999998, 0, 805306368},
-      {EncodingLocality::kPreferred, false, 3.6633399671583557, 112,
+      {EncodingLocality::kStrict, true, 1.9713228799999942, 0, 805306368},
+      {EncodingLocality::kStrict, false, 4.4291850240000255, 112, 2634022912},
+      {EncodingLocality::kPreferred, true, 1.9713228799999942, 0, 805306368},
+      {EncodingLocality::kPreferred, false, 3.4896609280000273, 112,
        2634022912},
-      {EncodingLocality::kNone, true, 3.8813503673327152, 111, 2650800128},
-      {EncodingLocality::kNone, false, 3.8708364952459866, 113, 2583691264},
+      {EncodingLocality::kNone, true, 3.7245419520000325, 111, 2650800128},
+      {EncodingLocality::kNone, false, 3.7413191680000328, 113, 2583691264},
   };
   for (const auto locality : {EncodingLocality::kStrict,
                               EncodingLocality::kPreferred,

@@ -4,6 +4,7 @@
 // and virtual sim time (Network flows, ClusterSim encode phases, MapReduce).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,52 +148,46 @@ TEST(ObsIntegration, DegradedReadAndRepairEmitSpans) {
   obs::shutdown();
 }
 
-TEST(ObsIntegration, SimNetworkEmitsFlowSpansMaxMin) {
+TEST(ObsIntegration, SimNetworkEmitsFlowSpansFifo) {
   enable_all();
   const Topology topo(2, 2);
   sim::Engine engine;
   sim::NetConfig net;
   net.disk_bw = 100e6;
   sim::Network network(engine, topo, net);
-  network.start_transfer(0, 2, 1_MB, [] {});  // cross-rack
-  network.start_transfer(0, 1, 1_MB, [] {});  // intra-rack
+  bool done = false;
+  network.start_transfer(0, 2, 1_MB, [&done] { done = true; });  // cross
+  network.start_transfer(0, 1, 1_MB, [] {});                     // intra
   network.start_disk_read(3, 1_MB, [] {});
   engine.run();
+  EXPECT_TRUE(done);
 
   EXPECT_TRUE(obs::trace_has_event("sim.flow.cross"));
   EXPECT_TRUE(obs::trace_has_event("sim.flow.intra"));
   EXPECT_TRUE(obs::trace_has_event("sim.disk_read"));
-  EXPECT_TRUE(obs::trace_has_event("sim.active_flows"));
   EXPECT_GT(
       obs::Registry::instance().counter("sim.events_executed").value(), 0);
 
-  // Flow spans live on pid kSimPid with virtual-time stamps.
+  // Transfer spans live on pid kSimPid with virtual-time stamps, and the
+  // in-flight counter climbs to all three and drains back to zero.
   bool saw_sim_span = false;
+  int64_t peak = -1, last = -1;
   for (const obs::TraceEvent& ev : obs::trace_snapshot()) {
     if (ev.ph == 'X' && std::string(ev.name) == "sim.flow.cross") {
       saw_sim_span = true;
       EXPECT_EQ(ev.pid, obs::kSimPid);
       EXPECT_GT(ev.dur_us, 0);
     }
+    if (ev.ph == 'C' && std::string(ev.name) == "sim.active_flows") {
+      ASSERT_EQ(ev.arg_count, 1);
+      last = ev.arg_values[0];
+      peak = std::max(peak, last);
+    }
   }
   EXPECT_TRUE(saw_sim_span);
+  EXPECT_EQ(peak, 3);
+  EXPECT_EQ(last, 0);
 
-  obs::trace_reset();
-  obs::shutdown();
-}
-
-TEST(ObsIntegration, SimNetworkEmitsFlowSpansFifo) {
-  enable_all();
-  const Topology topo(2, 2);
-  sim::Engine engine;
-  sim::NetConfig net;
-  net.sharing = sim::SharingModel::kFifoReservation;
-  sim::Network network(engine, topo, net);
-  bool done = false;
-  network.start_transfer(0, 2, 1_MB, [&done] { done = true; });
-  engine.run();
-  EXPECT_TRUE(done);
-  EXPECT_TRUE(obs::trace_has_event("sim.flow.cross"));
   obs::trace_reset();
   obs::shutdown();
 }

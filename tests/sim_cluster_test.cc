@@ -169,11 +169,11 @@ TEST(ClusterSim, PipelinedEncodeMovesIdenticalBytes) {
   EXPECT_EQ(piped.stripes_encoded, serial.stripes_encoded);
 }
 
-// Simulator outputs recorded on the code that still ran the serial,
-// pipelined and ecdag encodes as separate branches, before they became one
-// executor (sim/encode_flow.h).  Every variant keeps write and background
-// traffic on, so a reordered event or a moved byte shows up here.  Byte
-// counts compare exactly, times to a relative 1e-9.
+// Simulator outputs recorded once every link ran on the FIFO reservation
+// timeline in reservation_chunk(size) slots and the stripes were pre-placed
+// by round-robin writers.  Every variant keeps write and background traffic
+// on, so a reordered event or a moved byte shows up here.  Byte counts
+// compare exactly, times to a relative 1e-9.
 struct PinnedRun {
   const char* variant;
   bool use_ear;
@@ -198,11 +198,9 @@ SimConfig pinned_config(const std::string& variant, bool use_ear) {
     cfg.placement.code = CodeParams{7, 6};
     cfg.placement.c = 2;
     cfg.ecdag_enable = true;
-  } else if (variant == "fifo" || variant == "fifo-pipelined") {
-    cfg.net.sharing = SharingModel::kFifoReservation;
+  } else if (variant == "disk") {
     cfg.net.disk_bw = 1.3 * cfg.net.node_bw;
     cfg.encode_compute_seconds = 0.2;
-    if (variant == "fifo-pipelined") cfg.encode_pipeline_chunks = 4;
   } else if (variant == "relocation") {
     cfg.simulate_relocation = true;
   } else if (variant == "drill") {
@@ -219,37 +217,33 @@ TEST(ClusterSim, OutputsMatchThePinnedRuns) {
   // {variant, EAR, cross, intra, downloads, relocations, repair bytes,
   //  completions, encode_end, last completion}
   static const PinnedRun kPinned[] = {
-      {"serial", true, 215405450, 436839990, 0, 0, 0, 12,
-       11.409286143999996, 11.409286143999996},
-      {"serial", false, 811872192, 200705575, 63, 0, 0, 12,
-       12.850160617999396, 12.850160617999396},
-      {"pipelined", true, 215405450, 436839990, 0, 0, 0, 12,
-       11.257296255999995, 11.257296255999995},
-      {"pipelined", false, 796630335, 192316967, 63, 0, 0, 12,
-       12.327938821610777, 12.327938821610777},
-      {"ecdag", true, 14078858, 604612150, 0, 0, 0, 12,
-       11.34217728, 11.34217728},
-      {"ecdag", false, 521565990, 292980263, 60, 0, 0, 12,
-       11.467576723703356, 11.467576723703356},
-      {"fifo", true, 223794058, 445228598, 0, 0, 0, 12,
-       12.009286143998313, 12.009286143998313},
-      {"fifo", false, 798390054, 205396995, 63, 0, 0, 12,
-       12.968733183997166, 12.968733183997166},
-      {"fifo-pipelined", true, 215405450, 436839990, 0, 0, 0, 12,
-       11.257296255998678, 11.257296255998678},
-      {"fifo-pipelined", false, 796630335, 192316967, 63, 0, 0, 12,
-       12.308301055997362, 12.308301055997362},
-      {"relocation", true, 215405450, 436839990, 0, 0, 0, 12,
-       11.409286143999996, 11.409286143999996},
-      {"relocation", false, 1036548837, 194172644, 63, 29, 0, 12,
-       13.3790100169744, 13.3790100169744},
-      {"drill", true, 399954826, 453617206, 0, 0, 201326592, 12,
-       11.409286143999996, 11.409286143999996},
-      {"drill", false, 979644352, 234260007, 63, 0, 201326592, 12,
-       12.850160617999396, 12.850160617999396},
+      {"serial", true, 243831037, 490020155, 0, 0, 0, 12,
+       11.342177280000101, 11.342177280000101},
+      {"serial", false, 756491386, 82128540, 60, 0, 0, 12,
+       12.968518656000214, 12.968518656000214},
+      {"pipelined", true, 243831037, 512705968, 0, 0, 0, 12,
+       11.301455480000536, 11.301455480000536},
+      {"pipelined", false, 748102778, 73739932, 60, 0, 0, 12,
+       12.509296000001166, 12.509296000001166},
+      {"ecdag", true, 50893053, 594576817, 0, 0, 0, 12,
+       11.140850688000086, 11.140850688000086},
+      {"ecdag", false, 453546237, 285939285, 51, 0, 0, 12,
+       11.551892480000117, 11.551892480000117},
+      {"disk", true, 252219645, 498408763, 0, 0, 0, 12,
+       11.942177280000099, 11.942177280000099},
+      {"disk", false, 791330983, 101322605, 60, 0, 0, 12,
+       13.464709632000213, 13.464709632000213},
+      {"relocation", true, 243831037, 490020155, 0, 0, 0, 12,
+       11.342177280000101, 11.342177280000101},
+      {"relocation", false, 1050422727, 90517148, 60, 34, 0, 12,
+       13.812622336000286, 13.812622336000286},
+      {"drill", true, 411603197, 523574587, 0, 0, 201326592, 12,
+       11.342177280000101, 11.342177280000101},
+      {"drill", false, 941040762, 98905756, 60, 0, 201326592, 12,
+       12.968518656000214, 12.968518656000214},
   };
-  const char* const kVariants[] = {"serial", "pipelined", "ecdag", "fifo",
-                                   "fifo-pipelined", "relocation", "drill"};
+  const char* const kVariants[] = {"serial",     "pipelined", "ecdag",
+                                   "disk",       "relocation", "drill"};
   for (const char* variant : kVariants) {
     for (const bool use_ear : {true, false}) {
       const SimResult r = ClusterSim(pinned_config(variant, use_ear)).run();
@@ -289,8 +283,10 @@ TEST(ClusterSim, OutputsMatchThePinnedRuns) {
 }
 
 TEST(ClusterSim, RepairDrillRejectsAStripeThatCoversEveryNode) {
-  // Six nodes, and every stripe of (6,4) spans all six after encoding: a
-  // drill has nowhere to rebuild, so it must refuse instead of spinning.
+  // Six nodes: an encoded (6,4) stripe spans all six whenever its kept data
+  // replicas sit on distinct nodes (always for EAR, usually for RR), and a
+  // drill has nowhere to rebuild it, so it must refuse instead of spinning.
+  // Four drill draws over six stripes hit such a stripe under both policies.
   for (const bool use_ear : {true, false}) {
     SimConfig cfg;
     cfg.racks = 3;
@@ -303,12 +299,12 @@ TEST(ClusterSim, RepairDrillRejectsAStripeThatCoversEveryNode) {
     cfg.background_mean_size = 1_MB;
     cfg.encode_start = 1.0;
     cfg.encode_processes = 2;
-    cfg.stripes_per_process = 1;
-    cfg.repair_drill_blocks = 1;
+    cfg.stripes_per_process = 3;
+    cfg.repair_drill_blocks = 4;
     EXPECT_THROW(ClusterSim(cfg).run(), std::invalid_argument)
         << (use_ear ? "EAR" : "RR");
     cfg.repair_drill_blocks = 0;
-    EXPECT_EQ(ClusterSim(cfg).run().stripes_encoded, 2);
+    EXPECT_EQ(ClusterSim(cfg).run().stripes_encoded, 6);
   }
 }
 

