@@ -50,12 +50,12 @@ int main(int argc, char** argv) {
         for (NodeId i = 0; i < 12; i += 2) pairs.emplace_back(i, i + 1);
         cfs::BackgroundTraffic background(
             *testbed.cfs, pairs, fraction * params.throttle.node_bw);
-        if (fraction > 0) background.start();
+        background.start();
 
         cfs::RaidNode raid(*testbed.cfs, 12);
         const cfs::EncodeReport report =
             raid.encode_stripes(testbed.stripes);
-        if (fraction > 0) background.stop();
+        background.stop();
         (use_ear ? ear_s : rr).add(report.throughput_mbps);
       }
     }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <thread>
 
+#include "common/wake_record.h"
 #include "obs/trace.h"
 
 namespace ear::cfs {
@@ -25,16 +26,6 @@ qos::QosConfig link_discipline(const qos::QosConfig& qos) {
 
 std::atomic<uint64_t> g_next_transport_id{1};
 
-// The calling thread's last sleep on a chunk: which transport it was, the
-// reservation end it slept until (E) and when it woke (W).  One record per
-// thread: a thread alternating between transports only loses credit.
-struct WakeRecord {
-  uint64_t transport = 0;
-  std::chrono::steady_clock::time_point slept_until{};
-  std::chrono::steady_clock::time_point woke{};
-};
-thread_local WakeRecord t_wake;
-
 }  // namespace
 
 ThrottledTransport::ThrottledTransport(const Topology& topo,
@@ -48,8 +39,12 @@ ThrottledTransport::ThrottledTransport(const Topology& topo,
   ctr_cross_ = &reg.counter("testbed.net.cross_rack_bytes");
   ctr_intra_ = &reg.counter("testbed.net.intra_rack_bytes");
   ctr_transfers_ = &reg.counter("testbed.net.transfers");
-  hist_lag_credit_ = &reg.histogram("testbed.net.lag_credit_seconds",
-                                    {1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2});
+  const std::vector<double> credit_bounds = {1e-5, 5e-5, 1e-4,
+                                             5e-4, 1e-3, 1e-2};
+  hist_lag_credit_ =
+      &reg.histogram("testbed.net.lag_credit_seconds", credit_bounds);
+  hist_handoff_credit_ =
+      &reg.histogram("testbed.net.handoff_credit_seconds", credit_bounds);
   if (obs::trace_enabled() && obs::config().link_sample_period > 0) {
     start_sampler(obs::config().link_sample_period);
   }
@@ -86,18 +81,35 @@ void ThrottledTransport::local_read(NodeId node, Bytes size) {
   move_chunks(path, size, /*wait=*/true);
 }
 
-ThrottledTransport::Clock::duration ThrottledTransport::lag_credit() const {
-  const WakeRecord& w = t_wake;
-  if (w.transport != id_) return Clock::duration::zero();
-  // A chunk starting `lag` before its grant starts no earlier than E plus
-  // the time the thread spent since waking, so that time is never erased.
+ThrottledTransport::Clock::time_point ThrottledTransport::back_to_back_ready(
+    Clock::time_point now) const {
+  const WakeRecord& w = this_thread_wake();
+  if (w.transport != id_) return now;
+  // A thread asking within its lag of waking is back to back: its chunk was
+  // ready at E plus the time it spent since waking, so that time is never
+  // erased.  Longer than that, it may have waited on something else.
   const Clock::duration lag = w.woke - w.slept_until;
-  return Clock::now() - w.woke <= lag ? lag : Clock::duration::zero();
+  const Clock::duration since = now - w.woke;
+  return since <= lag ? w.slept_until + since : now;
+}
+
+ThrottledTransport::Clock::duration ThrottledTransport::path_credit(
+    std::span<const int> path, Clock::time_point ready,
+    Clock::time_point now) const {
+  if (ready >= now) return Clock::duration::zero();
+  // Cut-through: one slot on every link, so it starts no earlier than the
+  // last of them is free.
+  Clock::time_point start = ready;
+  for (const int idx : path) start = std::max(start, links_.available_at(idx));
+  return start < now ? now - start : Clock::duration::zero();
 }
 
 void ThrottledTransport::sleep_until(Clock::time_point end) const {
   std::this_thread::sleep_until(end);
-  t_wake = {id_, end, Clock::now()};
+  WakeRecord& w = this_thread_wake();
+  w.transport = id_;
+  w.slept_until = end;
+  w.woke = Clock::now();
 }
 
 void ThrottledTransport::transfer(NodeId src, NodeId dst, Bytes size) {
@@ -153,12 +165,19 @@ void ThrottledTransport::move_chunks(std::span<const int> path, Bytes size,
   // QoS.  Either way the reservation is for the same bytes on the same
   // link — only its start time differs.
   const qos::TransferContext ctx = qos::current_context();
+  WakeRecord& wake = this_thread_wake();
+  // A hand-off dates the move's first chunk; the rest follow it back to
+  // back.  Injected traffic never sleeps, so it neither takes nor gives one.
+  bool handed_off = wait && wake.ready.has_value();
   Bytes remaining = size;
   while (remaining > 0) {
     const Bytes chunk = std::min(remaining, config_.chunk_size);
     remaining -= chunk;
-    const Clock::duration credit =
-        wait ? lag_credit() : Clock::duration::zero();
+    const Clock::time_point now = Clock::now();
+    const Clock::time_point ready = handed_off ? *wake.ready
+                                    : wait     ? back_to_back_ready(now)
+                                               : now;
+    const Clock::duration credit = path_credit(path, ready, now);
     // The chunk occupies each link of the path; links operate in parallel
     // (cut-through), so the chunk lands when the slowest reservation ends.
     // The QoS class budget is charged on the first hop only — a serial
@@ -177,9 +196,16 @@ void ThrottledTransport::move_chunks(std::span<const int> path, Bytes size,
           static_cast<double>(chunk) * slowest;
       const double credited =
           std::min(sooner, std::chrono::duration<double>(credit).count());
-      if (credited > 0) hist_lag_credit_->record(credited);
+      if (credited > 0) {
+        (handed_off ? hist_handoff_credit_ : hist_lag_credit_)
+            ->record(credited);
+      }
     }
-    if (wait) sleep_until(done);
+    if (wait) {
+      sleep_until(done);
+      if (wake.ready) wake.ready = done;  // the bytes have landed
+    }
+    handed_off = false;
   }
 }
 

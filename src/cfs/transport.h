@@ -8,10 +8,12 @@
 //    (node up/down, rack up/down, per-node disk) is a fluid reservation
 //    timeline with a configured bandwidth, kept by a qos::LinkScheduler;
 //    concurrent transfers contend chunk-by-chunk in real time, reproducing
-//    the cross-rack bottleneck physically.  A sender's back-to-back chunks
-//    keep its links busy: each chunk may start as early as the sender's
-//    last wake-up lag allows (the lag credit), so the emulated link does not
-//    idle while the thread's sleep overruns.  With qos.enable off the
+//    the cross-rack bottleneck physically.  Each chunk starts when its
+//    bytes were ready, not when its sender's thread woke to send them: a
+//    sender's back-to-back chunks are credited its wake-up lag (the lag
+//    credit), and a chain hop handed its bytes by another thread starts at
+//    their hand-off time (common/wake_record.h), so the emulated links do
+//    not idle while threads wake up.  With qos.enable off the
 //    scheduler runs as FIFO (unbounded grant horizon, no class budgets:
 //    every reservation is granted in arrival order); with it on, in
 //    weighted fair order.
@@ -174,17 +176,26 @@ class ThrottledTransport final : public Transport {
 
   void do_transfer(NodeId src, NodeId dst, Bytes size, bool wait);
   // Moves `size` bytes chunk by chunk over every link of `path` at once
-  // (cut-through).  With `wait` the caller sleeps until each chunk lands
-  // and its wake-up lag is credited to its next chunk; without, nothing
-  // sleeps and nothing is credited (injected traffic).  The first hop of
-  // each chunk draws the QoS class budget (FIFO sets no budget, so it only
-  // steers the qos.class.* counters).
+  // (cut-through).  With `wait` the caller sleeps until each chunk lands,
+  // and each chunk starts at max(ready, every link of the path free): the
+  // first chunk is ready at the thread's hand-off time when a data-path
+  // stage set one, every other chunk when back_to_back_ready says; the
+  // hand-off then becomes the last chunk's end.  Without `wait`, nothing
+  // sleeps and every chunk is ready now (injected traffic).  The first hop
+  // of each chunk draws the QoS class budget (FIFO sets no budget, so it
+  // only steers the qos.class.* counters).
   void move_chunks(std::span<const int> path, Bytes size, bool wait);
-  // The calling thread's wake-up lag credit on this transport: how far it
-  // overslept its last chunk here, if it asks within that long of waking;
-  // else zero.
-  Clock::duration lag_credit() const;
-  // Sleeps until `end` and records the oversleep for lag_credit.
+  // When the calling thread's next chunk on this transport was ready: if it
+  // asks within its last wake-up lag (W - E) of waking here, E plus the
+  // time since it woke; else now.
+  Clock::time_point back_to_back_ready(Clock::time_point now) const;
+  // How long before now a chunk ready at `ready` may start on `path`: until
+  // max(ready, every link of the path free), and never after now.
+  Clock::duration path_credit(std::span<const int> path,
+                              Clock::time_point ready,
+                              Clock::time_point now) const;
+  // Sleeps until `end` and records it and the wake-up in the thread's
+  // WakeRecord.
   void sleep_until(Clock::time_point end) const;
 
   // Link-utilization sampler (obs): a background thread that periodically
@@ -198,7 +209,7 @@ class ThrottledTransport final : public Transport {
 
   Topology topo_;
   ThrottleConfig config_;
-  const uint64_t id_;  // keys the per-thread wake-up record
+  const uint64_t id_;  // keys the per-thread WakeRecord's sleep fields
   const std::vector<double> seconds_per_byte_;  // link table order
   qos::QosScheduler links_;  // one LinkScheduler per link of the table
   std::atomic<int64_t> cross_{0};
@@ -207,7 +218,10 @@ class ThrottledTransport final : public Transport {
   obs::Counter* ctr_cross_ = nullptr;
   obs::Counter* ctr_intra_ = nullptr;
   obs::Counter* ctr_transfers_ = nullptr;
-  obs::Histogram* hist_lag_credit_ = nullptr;  // seconds credited per chunk
+  // Seconds each credited chunk landed sooner: a sender's own wake-up lag,
+  // or a hand-off from the thread that produced its bytes.
+  obs::Histogram* hist_lag_credit_ = nullptr;
+  obs::Histogram* hist_handoff_credit_ = nullptr;
 
   std::thread sampler_;
   std::mutex sampler_mu_;

@@ -20,6 +20,7 @@ WriteWorkload::~WriteWorkload() {
 
 void WriteWorkload::start() {
   epoch_ = Clock::now();
+  if (rate_ <= 0) return;  // no arrivals: 1 / rate would never come
   running_ = true;
   generator_ = std::thread([this] { generator_loop(); });
 }
@@ -87,6 +88,7 @@ BackgroundTraffic::~BackgroundTraffic() {
 }
 
 void BackgroundTraffic::start() {
+  if (rate_ <= 0) return;  // nothing to send: burst / rate has no interval
   running_ = true;
   for (const auto& [src, dst] : pairs_) {
     streams_.emplace_back([this, src = src, dst = dst] {

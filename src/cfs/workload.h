@@ -23,7 +23,9 @@ namespace ear::cfs {
 
 class WriteWorkload {
  public:
-  // `rate` is the Poisson arrival rate in requests/second (wall clock).
+  // `rate` is the Poisson arrival rate in requests/second (wall clock).  A
+  // rate <= 0 is an empty stream: start() starts no thread and issues no
+  // write, and there are no samples.
   WriteWorkload(MiniCfs& cfs, double rate, uint64_t seed);
   ~WriteWorkload();
 
@@ -62,7 +64,8 @@ class WriteWorkload {
 };
 
 // Saturating background streams between fixed node pairs; each stream sends
-// `bytes_per_second` continuously in `burst` chunks until stopped.
+// `bytes_per_second` continuously in `burst` chunks until stopped.  A rate
+// <= 0 sends nothing: start() starts no stream thread.
 class BackgroundTraffic {
  public:
   BackgroundTraffic(MiniCfs& cfs,

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <exception>
 #include <vector>
 
+#include "common/wake_record.h"
 #include "datapath/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -87,6 +89,28 @@ class LaneSlot {
   ~LaneSlot() { lane_gate().release(); }
   LaneSlot(const LaneSlot&) = delete;
   LaneSlot& operator=(const LaneSlot&) = delete;
+};
+
+// Dates one chain hop on the calling thread (DESIGN.md "Work-conserving
+// senders"): for its scope, the thread's moves are handed `ready`, when the
+// hop's bytes existed, and on leaving it `ready` is when they landed, the
+// next hop's ready time.  The hand-off is cleared on every exit, so none
+// leaks into the thread's later moves.
+class HandOff {
+ public:
+  explicit HandOff(WakeRecord::Clock::time_point& ready) : ready_(ready) {
+    this_thread_wake().ready = ready;
+  }
+  ~HandOff() {
+    WakeRecord& wake = this_thread_wake();
+    ready_ = wake.ready.value_or(ready_);
+    wake.ready.reset();
+  }
+  HandOff(const HandOff&) = delete;
+  HandOff& operator=(const HandOff&) = delete;
+
+ private:
+  WakeRecord::Clock::time_point& ready_;
 };
 
 }  // namespace
@@ -194,9 +218,15 @@ void StagedPipeline::run_chain(int chunks, const std::vector<int>& chain_hops,
                                const std::function<void(int)>& compute) {
   const int chains = static_cast<int>(chain_hops.size());
   assert(chains >= 1);
+  // Every chain's first hop has its bytes now: the caller holds them all.
+  const auto started = WakeRecord::Clock::now();
   if (chains == 1 && chunks <= 1) {
     // One-shot path: each hop forwards the whole window in chain order.
-    for (int h = 0; h < chain_hops[0]; ++h) hop(h, 0);
+    auto ready = started;
+    for (int h = 0; h < chain_hops[0]; ++h) {
+      HandOff handoff(ready);
+      hop(h, 0);
+    }
     compute(0);
     return;
   }
@@ -240,6 +270,9 @@ void StagedPipeline::run_chain(int chunks, const std::vector<int>& chain_hops,
         span.arg("chunk", c);
         span.arg("hops", end - begin);
         try {
+          // Chunk c reaches each next hop when this task's own previous hop
+          // landed it, however late the task wakes to forward it.
+          auto ready = started;
           for (int h = begin; h < end; ++h) {
             ChunkLadder& here = crossed[static_cast<size_t>(h)];
             // Wait slot-free (the gate rule in pipeline.h) for chunk c-1 to
@@ -248,6 +281,7 @@ void StagedPipeline::run_chain(int chunks, const std::vector<int>& chain_hops,
             if (aborting.load(std::memory_order_relaxed)) return;
             {
               LaneSlot slot;
+              HandOff handoff(ready);
               hop(h, c);
             }
             here.publish(c + 1);

@@ -139,6 +139,18 @@ class StagedPipeline {
   // its chunk down every hop of its chain: over an instant transport a
   // chunk crosses a whole chain on one thread before the reader decodes it.
   //
+  // Hand-offs are work-conserving: around each hop(h, c) the task sets its
+  // thread's hand-off time (common/wake_record.h), when chunk c's bytes
+  // existed at hop h's sender.  For a chain's first hop that is the moment
+  // run_chain was called, so the caller must hold every source buffer by
+  // then (degraded reads take them all before the wire); for a later hop it
+  // is when the task's own previous hop landed the chunk.  A throttled
+  // transport starts the hop at max(that time, every link of its path
+  // free), so the emulated links do not idle while pool threads wake up to
+  // forward a chunk, and a lone chain runs at about its wire time.  A hop
+  // should only move bytes: time it spends before its transfer is not
+  // kept.  The hand-off is cleared after every hop, even one that throws.
+  //
   // Gate rule: a task takes a kMaxActiveLanes slot only around each
   // single-chunk hop(h, c) call, never while it waits for a predecessor.
   // A task holding its slot while waiting could, with more than
@@ -146,7 +158,8 @@ class StagedPipeline {
   // predecessors can never get one.
   //
   // One chain of one chunk runs its hops in order on the caller, then
-  // compute: no tasks, no hand-off.  Errors as in run_fanout(): the first
+  // compute: no tasks, no thread hand-off (its hops are still dated as
+  // above).  Errors as in run_fanout(): the first
   // hop error aborts every chain and is rethrown after every task of the
   // call has drained; a compute error leaves only after the tasks have
   // drained.

@@ -201,6 +201,11 @@ LinkScheduler::Clock::time_point LinkScheduler::next_event_locked(
   return soonest;
 }
 
+LinkScheduler::Clock::time_point LinkScheduler::available_at() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return available_at_;
+}
+
 LinkScheduler::Sample LinkScheduler::sample(Clock::time_point now) const {
   std::lock_guard<std::mutex> lk(mu_);
   Sample s;

@@ -28,8 +28,9 @@
 //    against the ClassBudget at grant time: while the class is in debt its
 //    requests are skipped — not reordered away, merely deferred — and the
 //    link hands the slot to the next admissible vfinish.  A caller may pass
-//    its wake-up lag as a credit: its slot then starts up to that long
-//    before its grant, never before the timeline's end (DESIGN.md
+//    a credit, how long before now its bytes were ready (its own wake-up
+//    lag, or a chain hand-off): its slot then starts up to that long before
+//    its grant, never before the timeline's end (DESIGN.md
 //    "Work-conserving senders").
 //
 //  * QosScheduler — the cluster view: all links of one transport and the
@@ -170,12 +171,15 @@ class LinkScheduler {
   // the reservation ends (the caller sleeps until then for a delivered
   // transfer, or not at all for injected traffic).  `charge` = this hop
   // draws from the class byte budget (one hop per transfer chunk does).
-  // `credit` is the caller's wake-up lag: the slot may start that much
-  // before the grant, never before the timeline's end, so a sender's own
-  // oversleep does not idle the link between its back-to-back chunks.
+  // `credit` is how long before the call the bytes were ready: the slot
+  // may start that much before the grant, never before the timeline's end,
+  // so a thread's wake-up does not idle the link.
   Clock::time_point request(const TransferContext& ctx, Bytes bytes,
                             bool charge = true,
                             Clock::duration credit = Clock::duration::zero());
+
+  // The end of the link's timeline: no new reservation starts earlier.
+  Clock::time_point available_at() const;
 
   // Sampler interface.
   struct Sample {
@@ -232,6 +236,10 @@ class QosScheduler {
   Clock::time_point request(int link, const TransferContext& ctx, Bytes bytes,
                             bool charge = true,
                             Clock::duration credit = Clock::duration::zero());
+
+  Clock::time_point available_at(int link) const {
+    return links_[static_cast<size_t>(link)]->available_at();
+  }
 
   LinkScheduler::Sample sample(int link, Clock::time_point now) const {
     return links_[static_cast<size_t>(link)]->sample(now);

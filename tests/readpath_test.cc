@@ -802,6 +802,57 @@ TEST(ChainReadTiming, RsDegradedReadTakesUnderHalfTheStar) {
   EXPECT_LT(best_s, star_s / 2) << "star " << star_s * 1e3 << " ms";
 }
 
+// The same lone chain against its wire time: 8 hops and 16 chunks of
+// 64 KiB at 100 MB/s take (8 + 16 - 1) chunk-times, 15.07 ms, when every
+// hop starts as soon as its chunk has landed one hop up and its links are
+// free.  A hop that waited for its pool thread to wake before reserving
+// its links ran the read 11% over; the fastest of three reads must land
+// within 5%.  Out of TSan like its siblings.
+TEST(ChainReadTiming, LoneChainRunsAtWireTime) {
+  cfs::CfsConfig cfg;
+  cfg.racks = 12;
+  cfg.nodes_per_rack = 1;
+  cfg.placement.code = CodeParams{10, 8};
+  cfg.placement.replication = 2;
+  cfg.placement.c = 1;
+  cfg.use_ear = true;
+  cfg.block_size = 1_MB;
+  cfg.seed = 3;
+  std::map<BlockId, std::vector<uint8_t>> originals;
+  StripeId stripe = kInvalidStripe;
+  auto cfs = sealed_cluster(cfg, 0, &originals, &stripe);
+  cfs->encode_stripe(stripe);
+  const Topology& topo = cfs->topology();
+
+  cfs::ThrottleConfig throttle;
+  throttle.node_bw = 100e6;
+  throttle.rack_uplink_bw = 100e6;
+  throttle.chunk_size = 64_KB;
+  throttle.pipeline_chunk = 64_KB;
+  cfs->set_transport(std::make_unique<cfs::ThrottledTransport>(topo, throttle));
+
+  const BlockId victim = cfs->stripe_meta(stripe).data_blocks[0];
+  const NodeId reader = stripe_free_node(*cfs, stripe);
+  ASSERT_LT(reader, topo.node_count());
+  cfs->kill_node(cfs->block_locations(victim).at(0));
+
+  double best_s = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto got = cfs->read_block(victim, reader);
+    best_s = std::min(best_s, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+    ASSERT_EQ(got, originals.at(victim));
+  }
+  const int hops = cfg.placement.code.k;
+  const int chunks = static_cast<int>(cfg.block_size / throttle.pipeline_chunk);
+  const double wire_s = (hops + chunks - 1) *
+                        static_cast<double>(throttle.pipeline_chunk) /
+                        throttle.node_bw;
+  EXPECT_LT(best_s, 1.05 * wire_s) << "wire " << wire_s * 1e3 << " ms";
+}
+
 // RS(6,4), 256 KiB blocks in two 128 KiB chunks, senders' rack up-links at
 // 10 MB/s while node links and rack down-links run at 40 MB/s (congestion on
 // the up-links, receiver ingress clear).  One chain needs (k + S - 1) = 5

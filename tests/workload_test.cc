@@ -63,6 +63,37 @@ TEST(WriteWorkload, StopIsIdempotentAndPromptly) {
   EXPECT_EQ(writes.completed(), count);
 }
 
+// A zero (or negative) rate is an empty stream, not an infinite wait: no
+// request thread starts, no write is issued, and stop returns at once.
+TEST(WriteWorkload, ZeroRateIssuesNothing) {
+  const auto cfg = tiny_config();
+  const Topology topo(cfg.racks, cfg.nodes_per_rack);
+  MiniCfs cfs(cfg, std::make_unique<InstantTransport>(topo));
+  for (const double rate : {0.0, -1.0}) {
+    WriteWorkload writes(cfs, rate, 3);
+    writes.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    writes.stop();
+    EXPECT_EQ(writes.completed(), 0);
+    EXPECT_TRUE(writes.samples().empty());
+  }
+  EXPECT_EQ(cfs.transport().cross_rack_bytes() +
+                cfs.transport().intra_rack_bytes(),
+            0);
+}
+
+TEST(BackgroundTraffic, ZeroRateSendsNothing) {
+  const auto cfg = tiny_config();
+  const Topology topo(cfg.racks, cfg.nodes_per_rack);
+  MiniCfs cfs(cfg, std::make_unique<InstantTransport>(topo));
+  BackgroundTraffic traffic(cfs, {{0, 2}, {4, 6}}, /*bytes_per_second=*/0,
+                            16_KB);
+  traffic.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  traffic.stop();
+  EXPECT_EQ(cfs.transport().cross_rack_bytes(), 0);
+}
+
 TEST(BackgroundTraffic, InjectsBytesWhileRunning) {
   const auto cfg = tiny_config();
   const Topology topo(cfg.racks, cfg.nodes_per_rack);
