@@ -143,6 +143,7 @@ MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
                                  config.placement.code.k,
                                  config.construction)),
       ns_(config.namespace_shards),
+      datanodes_(static_cast<size_t>(topo_.node_count())),
       node_alive_(static_cast<size_t>(topo_.node_count())),
       rng_(config.seed ^ 0xdeadbeefULL),
       ctr_blocks_written_(
@@ -170,9 +171,8 @@ MiniCfs::MiniCfs(const CfsConfig& config, std::unique_ptr<Transport> transport)
         codec_->name() + " needs alpha=" + std::to_string(codec_->alpha()));
   }
   std::fill(node_alive_.begin(), node_alive_.end(), true);
-  datanodes_.reserve(static_cast<size_t>(topo_.node_count()));
   for (int i = 0; i < topo_.node_count(); ++i) {
-    datanodes_.push_back(make_store(i));
+    datanodes_[static_cast<size_t>(i)].store(make_store(i));
   }
 }
 
@@ -214,11 +214,15 @@ void MiniCfs::set_transport(std::unique_ptr<Transport> transport) {
 }
 
 void MiniCfs::store(NodeId node, BlockId block, datapath::BlockBuffer bytes) {
-  datanodes_[static_cast<size_t>(node)]->put(block, std::move(bytes));
+  datanode(node)->put(block, std::move(bytes));
 }
 
 datapath::BlockBuffer MiniCfs::fetch(NodeId node, BlockId block) const {
-  const store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
+  return fetch(*datanode(node), node, block);
+}
+
+datapath::BlockBuffer MiniCfs::fetch(const store::BlockStore& dn, NodeId node,
+                                     BlockId block) {
   auto bytes = dn.get(block);
   if (!bytes) {
     // Name everything a post-mortem needs: which replica map entry was
@@ -232,9 +236,9 @@ datapath::BlockBuffer MiniCfs::fetch(NodeId node, BlockId block) const {
   return *std::move(bytes);  // shared reference, no byte copy
 }
 
-datapath::BlockBuffer MiniCfs::fetch_range(NodeId node, BlockId block,
-                                           size_t offset, size_t len) const {
-  const store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
+datapath::BlockBuffer MiniCfs::fetch_range(const store::BlockStore& dn,
+                                           NodeId node, BlockId block,
+                                           size_t offset, size_t len) {
   auto bytes = dn.get_range(block, offset, len);
   if (!bytes) {
     throw SourceLost(
@@ -248,12 +252,12 @@ datapath::BlockBuffer MiniCfs::fetch_range(NodeId node, BlockId block,
 }
 
 void MiniCfs::erase(NodeId node, BlockId block) {
-  store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
-  if (!dn.erase(block)) {
+  const auto dn = datanode(node);
+  if (!dn->erase(block)) {
     throw std::runtime_error(
         "erase: block " + std::to_string(block) + " not on node " +
-        std::to_string(node) + " (" + dn.name() + " store holding " +
-        std::to_string(dn.block_count()) + " blocks)");
+        std::to_string(node) + " (" + dn->name() + " store holding " +
+        std::to_string(dn->block_count()) + " blocks)");
   }
   // Replica deleted (encode step (iii) or a future GC): readers must not
   // keep serving it once the last copy is gone, so drop cached copies now.
@@ -355,6 +359,28 @@ NodeId MiniCfs::pick_source(const std::vector<NodeId>& locations, NodeId dst,
   return kInvalidNode;
 }
 
+MiniCfs::ListedSource MiniCfs::pick_listed_source(
+    BlockId block, NodeId dst, const std::vector<NodeId>& skip) {
+  // restart_node takes the node down, then counts a restart before it
+  // swaps the node's store, and again before it brings the node back,
+  // after its block report.  A pick that saw the node up after locations
+  // read before that report may name a pruned copy, and a store loaded
+  // after the swap may have lost the block; the count has moved in both
+  // cases: read the locations again.
+  while (true) {
+    const uint64_t restarts = restarts_.load();
+    auto locations = ns_.find_locations(block);
+    if (!locations) return {};
+    std::erase_if(*locations, [&skip](NodeId n) {
+      return std::find(skip.begin(), skip.end(), n) != skip.end();
+    });
+    const NodeId node = pick_source(*locations, dst, /*count=*/false);
+    ListedSource listed{true, node,
+                        node == kInvalidNode ? nullptr : datanode(node)};
+    if (restarts_.load() == restarts) return listed;
+  }
+}
+
 datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
   // Default class for an unwrapped caller; a workload's QosScope — or the
   // kRepair scope of an enclosing repair_block — wins (see qos/qos.h).
@@ -367,30 +393,24 @@ datapath::BlockBuffer MiniCfs::read_block(BlockId block, NodeId reader) {
       return *std::move(cached);
     }
   }
-  auto locations = ns_.find_locations(block);
-  if (!locations) {
-    throw std::runtime_error("unknown block " + std::to_string(block));
-  }
   // A conversion may erase the copy picked here between the lookup and the
   // fetch.  It commits the encoded layout first, so on a store miss the
   // locations are re-read and the next live copy tried; the buffer is taken
   // before the wire is charged, so a miss moves no bytes.
   std::vector<NodeId> missed;
-  while (true) {
-    const NodeId src = pick_source(*locations, reader, /*count=*/false);
-    if (src == kInvalidNode) break;
-    if (auto bytes = datanodes_[static_cast<size_t>(src)]->get(block)) {
-      transport_->transfer(src, reader, config_.block_size);
+  for (bool first = true;; first = false) {
+    const ListedSource listed = pick_listed_source(block, reader, missed);
+    if (!listed.known && first) {
+      throw std::runtime_error("unknown block " + std::to_string(block));
+    }
+    if (listed.node == kInvalidNode) break;
+    if (auto bytes = listed.store->get(block)) {
+      transport_->transfer(listed.node, reader, config_.block_size);
       cache_fill(reader, block, *bytes);
       return *std::move(bytes);
     }
     ctr_store_misses_->add();
-    missed.push_back(src);
-    locations = ns_.find_locations(block);
-    if (!locations) break;
-    std::erase_if(*locations, [&missed](NodeId n) {
-      return std::find(missed.begin(), missed.end(), n) != missed.end();
-    });
+    missed.push_back(listed.node);
   }
   datapath::BlockBuffer rebuilt = degraded_read(block, reader);
   cache_fill(reader, block, rebuilt);
@@ -474,13 +494,11 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
     throw std::runtime_error("stripe unrecoverable: fewer than k live blocks");
   }
 
-  // The node serving stripe block `b`: SourceLost when every copy died
-  // since the liveness snapshot above.
+  // The node serving stripe block `b`, and its store: SourceLost when every
+  // copy died since the liveness snapshot above.
   const auto source_of = [this, reader](BlockId b) {
-    const auto locs = ns_.find_locations(b);
-    const NodeId s =
-        locs ? pick_source(*locs, reader, /*count=*/false) : kInvalidNode;
-    if (s == kInvalidNode) {
+    ListedSource s = pick_listed_source(b, reader, {});
+    if (s.node == kInvalidNode) {
       throw SourceLost("degraded read: every copy of block " +
                            std::to_string(b) + " died mid-read",
                        /*store_miss=*/false);
@@ -563,11 +581,12 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
       const auto it = std::find(live_ids.begin(), live_ids.end(), src.id);
       const BlockId b =
           live_blocks[static_cast<size_t>(it - live_ids.begin())];
-      const NodeId s = source_of(b);
-      sources.push_back(s);
+      const ListedSource s = source_of(b);
+      sources.push_back(s.node);
       for (const int z : src.sub_blocks) {
         unit_bufs.push_back(fetch_range(
-            s, b, static_cast<size_t>(z) * static_cast<size_t>(sub),
+            *s.store, s.node, b,
+            static_cast<size_t>(z) * static_cast<size_t>(sub),
             static_cast<size_t>(sub)));
         units.emplace_back(unit_bufs.back().span());
       }
@@ -625,8 +644,9 @@ datapath::BlockBuffer MiniCfs::degraded_read_once(BlockId block,
   std::vector<erasure::BlockView> views;
   for (int i = 0; i < k; ++i) {
     const BlockId b = live_blocks[static_cast<size_t>(i)];
-    helpers.push_back(source_of(b));
-    bufs.push_back(fetch(helpers.back(), b));
+    const ListedSource s = source_of(b);
+    helpers.push_back(s.node);
+    bufs.push_back(fetch(*s.store, s.node, b));
     views.emplace_back(bufs.back().span());
   }
   ctr_degraded_read_bytes_->add(static_cast<int64_t>(k) * config_.block_size);
@@ -648,44 +668,98 @@ std::vector<StripeId> MiniCfs::sealed_stripes() const {
   return policy_->sealed_stripes();
 }
 
-void MiniCfs::encode_stripe(StripeId stripe,
-                            std::optional<NodeId> encoder_override) {
-  obs::Span stripe_span("cfs.encode_stripe", "cfs");
-  stripe_span.arg("stripe", stripe);
-  qos::OpScope op(qos::TrafficClass::kBackgroundEncode);
-  const int64_t encode_begin_us = obs::now_us();
-  TransferScope in_flight(*this);
+EncodePlan MiniCfs::plan_encoding(StripeId stripe) {
   const std::optional<StripeMeta> row = ns_.find_stripe(stripe);
   if (row && row->encoded) {
     throw std::runtime_error("stripe already encoded");
   }
-  EncodePlan plan;
   std::vector<BlockId> data_blocks;
-  std::vector<std::vector<NodeId>> replica_sets;
   {
     std::lock_guard<std::mutex> lock(policy_mu_);
     const StripeInfo& info = policy_->stripe(stripe);
     if (!info.sealed(config_.placement.code.k)) {
       throw std::runtime_error("stripe not sealed");
     }
-    plan = policy_->plan_encoding(stripe);
     data_blocks = info.blocks;
-    replica_sets = info.replicas;
   }
-  if (encoder_override) plan.encoder = *encoder_override;
-
-  const int k = codec_->k();
   // A stripe seals when its k blocks are placed, not when their writes
   // commit.  Refuse until every data block's write has committed, so every
-  // replica the plan fetches or erases is stored; nothing is mutated yet
-  // and the caller (RaidNode) retries the stripe later.
-  for (int i = 0; i < k; ++i) {
-    const auto slot = static_cast<size_t>(i);
+  // copy the plan names is stored and listed; the caller (RaidNode) retries
+  // the stripe later.
+  for (size_t slot = 0; slot < data_blocks.size(); ++slot) {
     if (!row || row->data_blocks.size() <= slot ||
         row->data_blocks[slot] != data_blocks[slot]) {
       throw std::runtime_error(
           "encode_stripe: stripe " + std::to_string(stripe) + " block " +
           std::to_string(data_blocks[slot]) + " has not committed");
+    }
+  }
+  // The policy plans from the NameNode's copies (re-replicated ones
+  // included), not from its placement record, and around down nodes.
+  std::vector<std::vector<NodeId>> copies;
+  copies.reserve(data_blocks.size());
+  for (const BlockId b : data_blocks) {
+    copies.push_back(ns_.find_locations(b).value_or(std::vector<NodeId>{}));
+  }
+  std::lock_guard<std::mutex> lock(policy_mu_);
+  return policy_->plan_encoding(stripe, copies, [this](NodeId n) {
+    return !node_alive_[static_cast<size_t>(n)];
+  });
+}
+
+void MiniCfs::encode_stripe(StripeId stripe) {
+  encode_stripe(plan_encoding(stripe));
+}
+
+void MiniCfs::encode_stripe(const EncodePlan& plan) {
+  const StripeId stripe = plan.stripe;
+  obs::Span stripe_span("cfs.encode_stripe", "cfs");
+  stripe_span.arg("stripe", stripe);
+  qos::OpScope op(qos::TrafficClass::kBackgroundEncode);
+  const int64_t encode_begin_us = obs::now_us();
+  TransferScope in_flight(*this);
+  const std::optional<StripeMeta> row = ns_.find_stripe(stripe);
+  if (!row || row->encoded) {
+    throw std::runtime_error("encode_stripe: stripe " +
+                             std::to_string(stripe) +
+                             (row ? " already encoded" : " is unknown"));
+  }
+  const std::vector<BlockId>& data_blocks = row->data_blocks;
+  const int k = codec_->k();
+  if (static_cast<int>(data_blocks.size()) != k ||
+      static_cast<int>(plan.kept.size()) != k ||
+      std::count(data_blocks.begin(), data_blocks.end(), kInvalidBlock) > 0) {
+    throw std::runtime_error("encode_stripe: stripe " +
+                             std::to_string(stripe) +
+                             " has uncommitted blocks or a malformed plan");
+  }
+  // The plan was drawn against the live cluster, maybe a while ago (RaidNode
+  // draws a job's plans before its first map task).  Refuse it, mutating
+  // nothing, when a node it names has gone down since or a kept copy is no
+  // longer listed; the caller retries the stripe with a fresh plan.
+  const auto require_up = [&](NodeId node, const char* role) {
+    if (!node_alive_[static_cast<size_t>(node)]) {
+      throw std::runtime_error("encode_stripe: stripe " +
+                               std::to_string(stripe) + " " + role +
+                               " node " + std::to_string(node) + " is down");
+    }
+  };
+  require_up(plan.encoder, "encoder");
+  for (const NodeId n : plan.kept) require_up(n, "kept");
+  for (const NodeId n : plan.parity) require_up(n, "parity");
+  // The downloads read the copies listed now; step (iii) retires every
+  // copy listed at its commit but the kept one.
+  std::vector<std::vector<NodeId>> copies(static_cast<size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    const auto slot = static_cast<size_t>(i);
+    copies[slot] =
+        ns_.find_locations(data_blocks[slot]).value_or(std::vector<NodeId>{});
+    if (std::find(copies[slot].begin(), copies[slot].end(), plan.kept[slot]) ==
+        copies[slot].end()) {
+      throw std::runtime_error(
+          "encode_stripe: stripe " + std::to_string(stripe) + " block " +
+          std::to_string(data_blocks[slot]) + " no longer lists kept copy " +
+          std::to_string(plan.kept[slot]));
     }
   }
   const int m = codec_->m();
@@ -699,7 +773,7 @@ void MiniCfs::encode_stripe(StripeId stripe,
   std::vector<datapath::BlockBuffer> data_bufs;
   data_bufs.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    const NodeId src = pick_source(replica_sets[static_cast<size_t>(i)],
+    const NodeId src = pick_source(copies[static_cast<size_t>(i)],
                                    plan.encoder, /*count=*/true);
     if (src == kInvalidNode) {
       throw std::runtime_error("no live replica for encoding download");
@@ -821,10 +895,12 @@ void MiniCfs::encode_stripe(StripeId stripe,
   // Step (iii): register the encoded layout, then delete the redundant
   // replicas (HDFS invalidates after the commit).  In this order a reader
   // that looked up the old locations can only miss a copy no longer
-  // listed, and its retry finds the kept one (read_block).
-  ns_.commit_encoded_stripe(stripe, data_blocks, plan.kept, plan.deletions,
-                            parity_ids, plan.parity);
-  for (const auto& [block_idx, node] : plan.deletions) {
+  // listed, and its retry finds the kept one (read_block).  The commit
+  // names the copies it unlisted: every one but the kept one, down ones and
+  // copies re-replication added since the plan included.
+  const std::vector<std::pair<int, NodeId>> retired = ns_.commit_encoded_stripe(
+      stripe, data_blocks, plan.kept, parity_ids, plan.parity);
+  for (const auto& [block_idx, node] : retired) {
     erase(node, data_blocks[static_cast<size_t>(block_idx)]);
   }
   ctr_stripes_encoded_->add();
@@ -859,7 +935,7 @@ void MiniCfs::revive_node(NodeId node) {
   // A revived store changes which locations are servable; cached entries
   // for its blocks predate that and must be re-validated on next read.
   if (cache_) {
-    for (const BlockId b : datanodes_[static_cast<size_t>(node)]->block_ids()) {
+    for (const BlockId b : datanode(node)->block_ids()) {
       cache_->invalidate_block(b);
     }
   }
@@ -867,19 +943,24 @@ void MiniCfs::revive_node(NodeId node) {
 
 MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
   RestartReport report;
-  // 1. Reopen the store from its backing medium.  The old instance is
-  // destroyed first; outstanding BlockBuffer views (readers, the cache)
-  // stay valid because buffers own their allocation / mapping.  For the
-  // mmap backend this replays the crash-consistent directory (truncating
-  // any torn tail); for the mem backend the node comes back empty.
-  // The node stays down until its block report has pruned what it lost, so
-  // no read picks a copy the new store does not hold.
+  // 1. Reopen the store from its backing medium.  The reopened instance
+  // replaces the old one in the node's slot; an access that loaded the old
+  // one before the swap finishes on it, and it is destroyed after the last
+  // such access.  Outstanding BlockBuffer views (readers, the cache) stay
+  // valid because buffers own their allocation / mapping.  For the mmap
+  // backend this replays the crash-consistent directory (truncating any
+  // torn tail); for the mem backend the node comes back empty.  The node
+  // stays down until its block report has pruned what it lost, so no read
+  // picks a copy the new store does not hold.  The node goes down before
+  // the count moves: a reader whose first count load sees the move then
+  // cannot pick the node until it is back, and one whose first load came
+  // earlier sees the count differ at its second (pick_listed_source).
   node_alive_[static_cast<size_t>(node)] = false;
-  datanodes_[static_cast<size_t>(node)].reset();
-  datanodes_[static_cast<size_t>(node)] = make_store(node);
-  const store::BlockStore& dn = *datanodes_[static_cast<size_t>(node)];
+  restarts_.fetch_add(1);
+  const std::shared_ptr<store::BlockStore> reopened = make_store(node);
+  datanodes_[static_cast<size_t>(node)].store(reopened);
 
-  std::vector<BlockId> surviving = dn.block_ids();
+  std::vector<BlockId> surviving = reopened->block_ids();
   report.blocks_recovered = static_cast<int64_t>(surviving.size());
   const std::set<BlockId> surviving_set(surviving.begin(), surviving.end());
 
@@ -917,14 +998,17 @@ MiniCfs::RestartReport MiniCfs::restart_node(NodeId node) {
   // the node was down) are garbage — discard them from the store.
   for (const BlockId block : surviving) {
     if (snap.blocks.count(block) == 0) {
-      datanodes_[static_cast<size_t>(node)]->erase(block);
+      reopened->erase(block);
       --report.blocks_recovered;
       ++report.stale_blocks_discarded;
       cache_invalidate(block);
     }
   }
 
-  // 4. Serve again: every location the namespace lists is now held.
+  // 4. Serve again: every location the namespace lists is now held.  The
+  // count moves first, so a reader that sees the node up sees it too
+  // (pick_listed_source).
+  restarts_.fetch_add(1);
   node_alive_[static_cast<size_t>(node)] = true;
   return report;
 }
@@ -1042,8 +1126,7 @@ std::vector<NodeId> MiniCfs::block_locations(BlockId block) const {
 }
 
 int64_t MiniCfs::blocks_stored_on(NodeId node) const {
-  return static_cast<int64_t>(
-      datanodes_[static_cast<size_t>(node)]->block_count());
+  return static_cast<int64_t>(datanode(node)->block_count());
 }
 
 }  // namespace ear::cfs

@@ -182,11 +182,27 @@ class MiniCfs {
   // ---- encoding (the RaidNode path uses these) ----------------------------
   std::vector<StripeId> sealed_stripes() const;
 
-  // Encodes one sealed stripe: the calling thread plays the map task.
-  // `encoder_override` forces the encoder node (ablation hook modelling a
-  // JobTracker that ignored the core-rack preference).
-  void encode_stripe(StripeId stripe,
-                     std::optional<NodeId> encoder_override = std::nullopt);
+  // Draws the encoding plan of a sealed stripe against the live cluster: the
+  // policy plans from the NameNode's current locations of the k data blocks
+  // (copies re-replication added included) and around down nodes.  Throws
+  // std::runtime_error, drawing nothing, while the stripe is encoded or a
+  // data block has not committed, and when the policy finds no live layout
+  // (PlacementPolicy::plan_encoding).
+  EncodePlan plan_encoding(StripeId stripe);
+
+  // Encodes `plan.stripe` by `plan` (from plan_encoding): the calling thread
+  // plays the map task, fetching each data block from a live copy the
+  // NameNode lists, and retires every copy listed at its commit but the
+  // kept one (NamespaceShards::commit_encoded_stripe), not the plan's
+  // deletions: copies re-replication added after the plan go too.  Refuses,
+  // throwing std::runtime_error with nothing mutated, when the stripe is
+  // already encoded, a node the plan names (encoder, kept copy, parity) is
+  // down, or a kept copy is no longer listed.
+  void encode_stripe(const EncodePlan& plan);
+
+  // Plans and encodes one sealed stripe: plan_encoding, then
+  // encode_stripe(plan).
+  void encode_stripe(StripeId stripe);
 
   bool is_encoded(StripeId stripe) const;
   StripeMeta stripe_meta(StripeId stripe) const;
@@ -261,9 +277,19 @@ class MiniCfs {
   // nodes of `exclude` and `holders` as the holders.  Re-replication
   // excludes the block's live copies; a lost stripe block passes its live
   // siblings' nodes as `holders`, so it shares a node with a sibling only
-  // when no other live node is left.  Returns kInvalidNode when none is.
+  // when no other live node is left.  When `home` names a rack with a live
+  // node outside `exclude`, the pick is among those instead, whatever their
+  // tier (restoring a lost copy in the rack it was placed in).  Returns
+  // kInvalidNode when no node is left.
   NodeId pick_repair_target(const std::vector<NodeId>& exclude,
-                            const std::set<NodeId>& holders = {}) const;
+                            const std::set<NodeId>& holders = {},
+                            RackId home = kInvalidRack) const;
+
+  // The rack a re-replicated copy of `block`, lost with node `lost`, must go
+  // to (pick_repair_target's `home`): the policy's restore_rack for a data
+  // block whose stripe is not encoded yet, given the live copies of the
+  // stripe's placed blocks; kInvalidRack otherwise.
+  RackId restore_rack(BlockId block, NodeId lost) const;
 
   // Nodes currently holding a live copy of any block of `block`'s stripe
   // (rack-fault-tolerant repairs place the rebuilt block elsewhere).  Empty
@@ -301,20 +327,28 @@ class MiniCfs {
   // store rooted at store_dir/node-NNNN).  Also the restart_node reopen
   // path.
   std::unique_ptr<store::BlockStore> make_store(NodeId node) const;
+  // The node's current store.
+  std::shared_ptr<store::BlockStore> datanode(NodeId node) const {
+    return datanodes_[static_cast<size_t>(node)].load();
+  }
 
   // Zero-copy block store access: store() registers a shared buffer
   // reference (persistent backends commit it durably), fetch() hands one
   // out; the store's internal mutex guards only index state, never a byte
   // copy.  fetch() and erase() throw std::runtime_error naming the node,
-  // block, and backend when the block is absent.
+  // block, and backend when the block is absent.  The overloads taking a
+  // store read that instance of `node`'s store (a read's ListedSource).
   void store(NodeId node, BlockId block, datapath::BlockBuffer bytes);
   datapath::BlockBuffer fetch(NodeId node, BlockId block) const;
+  static datapath::BlockBuffer fetch(const store::BlockStore& dn, NodeId node,
+                                     BlockId block);
   // Ranged fetch: zero-copy view of bytes [offset, offset + len) of the
   // stored block (the vector-codec repair path reads helper sub-ranges
   // through this; both store backends serve it without touching the rest
   // of the block).
-  datapath::BlockBuffer fetch_range(NodeId node, BlockId block, size_t offset,
-                                    size_t len) const;
+  static datapath::BlockBuffer fetch_range(const store::BlockStore& dn,
+                                           NodeId node, BlockId block,
+                                           size_t offset, size_t len);
   void erase(NodeId node, BlockId block);
 
   // The one copy-registration path of repair, re-replication and adoption:
@@ -342,6 +376,20 @@ class MiniCfs {
   // same-rack, then any live replica).  Returns kInvalidNode if none live.
   NodeId pick_source(const std::vector<NodeId>& locations, NodeId dst,
                      bool count_cross_rack_download);
+
+  // A read's source: pick_source over the NameNode's current locations of
+  // `block` minus `skip`, and the picked node's store, validated against
+  // restart_node (a restart that ends between the lookup and the pick may
+  // have pruned the copy picked, so the lookup is redone).  The read
+  // fetches from `store`: a restart that begins after the pick swaps in a
+  // reopened store, but this instance still holds what the lookup listed.
+  struct ListedSource {
+    bool known = false;  // the NameNode lists the block
+    NodeId node = kInvalidNode;
+    std::shared_ptr<const store::BlockStore> store;  // set with `node`
+  };
+  ListedSource pick_listed_source(BlockId block, NodeId dst,
+                                  const std::vector<NodeId>& skip);
 
   // Caches `bytes` as `reader`'s copy of `block`.  Must run inside the
   // read's TransferScope (throws std::logic_error otherwise): cache fills
@@ -403,8 +451,14 @@ class MiniCfs {
   // or vice versa.
   NamespaceShards ns_;
   mutable std::mutex policy_mu_;
-  std::vector<std::unique_ptr<store::BlockStore>> datanodes_;
+  // One store per node.  restart_node swaps in a reopened store; an access
+  // in flight keeps the instance it loaded (datanode()) until it is done.
+  std::vector<std::atomic<std::shared_ptr<store::BlockStore>>> datanodes_;
   std::vector<std::atomic<bool>> node_alive_;
+  // restart_node calls begun plus calls ended: it moves after a restart
+  // takes its node down and before it swaps the node's store, and again
+  // before it brings the node back.
+  std::atomic<uint64_t> restarts_{0};
   std::atomic<BlockId> next_block_id_{0};
   // Inline (write-path) stripes count downward so they never collide with
   // the placement policy's stripe ids.

@@ -137,10 +137,9 @@ void NamespaceShards::commit_new_block(BlockId block,
   bs.locations[block] = std::move(replicas);
 }
 
-void NamespaceShards::commit_encoded_stripe(
+std::vector<std::pair<int, NodeId>> NamespaceShards::commit_encoded_stripe(
     StripeId stripe, const std::vector<BlockId>& data_blocks,
     const std::vector<NodeId>& kept,
-    const std::vector<std::pair<int, NodeId>>& retired,
     const std::vector<BlockId>& parity_blocks,
     const std::vector<NodeId>& parity_nodes) {
   std::vector<size_t> indices{stripe_shard(stripe)};
@@ -152,17 +151,15 @@ void NamespaceShards::commit_encoded_stripe(
   // then), so the stripe row and the data blocks' positions are complete.
   const int k = static_cast<int>(data_blocks.size());
   StripeMeta& meta = shards_[stripe_shard(stripe)]->stripes[stripe];
-  for (const auto& [i, node] : retired) {
-    const BlockId b = data_blocks[static_cast<size_t>(i)];
-    std::erase(shards_[block_shard(b)]->locations[b], node);
-  }
+  std::vector<std::pair<int, NodeId>> retired;
   for (int i = 0; i < k; ++i) {
     const BlockId b = data_blocks[static_cast<size_t>(i)];
     std::vector<NodeId>& locs = shards_[block_shard(b)]->locations[b];
     const NodeId keep = kept[static_cast<size_t>(i)];
-    if (std::find(locs.begin(), locs.end(), keep) == locs.end()) {
-      locs.push_back(keep);
+    for (const NodeId n : locs) {
+      if (n != keep) retired.emplace_back(i, n);
     }
+    locs = {keep};
   }
   for (size_t j = 0; j < parity_blocks.size(); ++j) {
     const BlockId b = parity_blocks[j];
@@ -172,6 +169,7 @@ void NamespaceShards::commit_encoded_stripe(
   }
   meta.parity_blocks = parity_blocks;
   meta.encoded = true;
+  return retired;
 }
 
 void NamespaceShards::commit_inline_stripe(StripeId stripe,

@@ -97,15 +97,16 @@ class NamespaceShards {
                         StripeId stripe, int position);
 
   // Commits a finished background encode of a stripe whose k data blocks
-  // have all committed, in one atomic step: data block i keeps its listed
-  // copies minus the `retired` (data index, node) replicas the encode
-  // deletes, plus kept[i]; the m new parity blocks get their locations and
-  // stripe positions k..n-1; the stripe is flagged encoded.  A copy a
-  // repair registered meanwhile stays listed, as it stays stored.
-  void commit_encoded_stripe(
+  // have all committed, in one atomic step: data block i is listed on
+  // kept[i] alone; the m new parity blocks get their locations and stripe
+  // positions k..n-1; the stripe is flagged encoded.  Returns the (data
+  // index, node) copies it unlisted, for the encode to delete: every copy
+  // listed at the commit but the kept one, so a copy a repair registered
+  // before it goes too.  A copy registered after it stays listed, as it
+  // stays stored.
+  std::vector<std::pair<int, NodeId>> commit_encoded_stripe(
       StripeId stripe, const std::vector<BlockId>& data_blocks,
       const std::vector<NodeId>& kept,
-      const std::vector<std::pair<int, NodeId>>& retired,
       const std::vector<BlockId>& parity_blocks,
       const std::vector<NodeId>& parity_nodes);
 

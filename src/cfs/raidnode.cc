@@ -37,6 +37,20 @@ EncodeReport RaidNode::encode_stripes(const std::vector<StripeId>& stripes,
       o = random_node(cfs_->topology(), scatter_rng);
     }
   }
+  // Every stripe's plan is drawn here too, in stripe order, so the job's
+  // layouts depend on the live cluster at its start, not on the order its
+  // map tasks happen to start in.  A stripe with no plan (an uncommitted
+  // write, no live layout) fails now and is retried by the caller.
+  std::vector<std::optional<EncodePlan>> plans(stripes.size());
+  for (size_t i = 0; i < stripes.size(); ++i) {
+    try {
+      plans[i] = cfs_->plan_encoding(stripes[i]);
+    } catch (const std::exception&) {
+      report.failed.push_back(stripes[i]);
+      continue;
+    }
+    if (overrides[i]) plans[i]->encoder = *overrides[i];
+  }
 
   // One map task per stripe on the shared data-path pool, at most
   // `map_slots` occupying slots at once (HDFS-RAID's map-slot limit).  The
@@ -46,14 +60,15 @@ EncodeReport RaidNode::encode_stripes(const std::vector<StripeId>& stripes,
   {
     datapath::TaskGroup tasks(datapath::WorkerPool::shared(), map_slots_);
     for (size_t i = 0; i < stripes.size(); ++i) {
+      if (!plans[i]) continue;
       tasks.submit([&, i] {
         try {
           obs::Span task_span("raid.map_task", "raid");
           task_span.arg("stripe", stripes[i]);
-          cfs_->encode_stripe(stripes[i], overrides[i]);
+          cfs_->encode_stripe(*plans[i]);
         } catch (const std::exception&) {
-          // A failure mid-job (dead replicas) aborts this stripe only; the
-          // caller retries it after repair.
+          // A failure mid-job (dead replicas, a planned node gone down)
+          // aborts this stripe only; the caller retries it after repair.
           std::lock_guard<std::mutex> lock(report_mu);
           report.failed.push_back(stripes[i]);
           return;

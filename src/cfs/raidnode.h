@@ -1,9 +1,12 @@
 // RaidNode — coordinates the asynchronous encoding operation (paper §IV-A).
 //
-// Mirrors HDFS-RAID's map-only MapReduce encoding job: one map task per
-// stripe runs on the shared data-path pool (datapath::WorkerPool), at most
-// `map_slots` concurrently, each encoding through MiniCfs::encode_stripe.  Under EAR every plan's encoder node
-// already sits in the stripe's core rack (the paper's preferred-node +
+// Mirrors HDFS-RAID's map-only MapReduce encoding job.  The job first draws
+// every stripe's plan (MiniCfs::plan_encoding) in stripe order, against the
+// live cluster; then one map task per planned stripe runs on the shared
+// data-path pool (datapath::WorkerPool), at most `map_slots` concurrently,
+// each encoding its plan through MiniCfs::encode_stripe, which refuses a
+// plan whose nodes went down since.  Under EAR every plan's encoder node
+// is a live node of the stripe's core rack (the paper's preferred-node +
 // encoding-job-flag JobTracker modifications, §IV-B); the ablation hook
 // `scatter_encoders` disables that and assigns uniformly random encoder
 // nodes, quantifying what those modifications buy.
@@ -23,10 +26,11 @@ struct EncodeReport {
   std::vector<double> completion_times;
   int64_t cross_rack_bytes = 0;    // transport delta during the job
   int64_t cross_rack_downloads = 0;  // data blocks fetched across racks
-  // Stripes whose encode threw (e.g. a failure killed every replica of a
-  // data block mid-job).  encode_stripe mutates no metadata before its
-  // download phase succeeds, so these remain sealed and can be retried once
-  // redundancy is restored.
+  // Stripes that have no plan (a data block has not committed, or no live
+  // layout exists) or whose encode threw (a planned node went down, or a
+  // failure killed every replica of a data block mid-job).  Neither mutates
+  // metadata, so these remain sealed and can be retried once redundancy is
+  // restored.
   std::vector<StripeId> failed;
 };
 

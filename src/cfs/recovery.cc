@@ -31,23 +31,47 @@ MiniCfs::TargetTier MiniCfs::target_tier(
 }
 
 NodeId MiniCfs::pick_repair_target(const std::vector<NodeId>& exclude,
-                                   const std::set<NodeId>& holders) const {
+                                   const std::set<NodeId>& holders,
+                                   RackId home) const {
   std::set<NodeId> all_holders = holders;
   all_holders.insert(exclude.begin(), exclude.end());
+  std::vector<NodeId> in_home;
   std::vector<NodeId> tiers[3];
   for (NodeId n = 0; n < topo_.node_count(); ++n) {
     if (!node_alive_[static_cast<size_t>(n)]) continue;
     if (std::find(exclude.begin(), exclude.end(), n) != exclude.end()) {
       continue;
     }
+    if (topo_.rack_of(n) == home) in_home.push_back(n);
     tiers[static_cast<int>(target_tier(n, all_holders))].push_back(n);
   }
+  std::lock_guard<std::mutex> lock(rng_mu_);
+  if (!in_home.empty()) return in_home[rng_.index(in_home.size())];
   for (const std::vector<NodeId>& pool : tiers) {
-    if (pool.empty()) continue;
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    return pool[rng_.index(pool.size())];
+    if (!pool.empty()) return pool[rng_.index(pool.size())];
   }
   return kInvalidNode;
+}
+
+RackId MiniCfs::restore_rack(BlockId block, NodeId lost) const {
+  const auto pos = ns_.find_block_stripe(block);
+  if (!pos || ns_.stripe_encoded(pos->first)) return kInvalidRack;
+  std::vector<BlockId> placed;
+  {
+    std::lock_guard<std::mutex> lock(policy_mu_);
+    placed = policy_->stripe(pos->first).blocks;
+  }
+  // A placed block whose write has not committed is listed nowhere yet.
+  std::vector<std::vector<NodeId>> live;
+  live.reserve(placed.size());
+  for (const BlockId b : placed) {
+    live.push_back(ns_.find_locations(b).value_or(std::vector<NodeId>{}));
+    std::erase_if(live.back(), [this](NodeId n) {
+      return !node_alive_[static_cast<size_t>(n)];
+    });
+  }
+  std::lock_guard<std::mutex> lock(policy_mu_);
+  return policy_->restore_rack(pos->first, pos->second, lost, live);
 }
 
 std::set<NodeId> MiniCfs::live_stripe_nodes(BlockId block) const {
@@ -91,7 +115,8 @@ ClusterImage MiniCfs::export_image() const {
   ClusterImage image;
   image.node_blocks.resize(datanodes_.size());
   for (size_t i = 0; i < datanodes_.size(); ++i) {
-    image.node_blocks[i] = datanodes_[i]->export_blocks();
+    image.node_blocks[i] =
+        datanode(static_cast<NodeId>(i))->export_blocks();
   }
   return image;
 }

@@ -210,8 +210,18 @@ RepairManager::Outcome RepairManager::attempt(const Task& task,
   }
 
   // Under-replicated: add copies until the target, avoiding used racks.
-  while (static_cast<int>(live.size()) < target) {
-    const NodeId dst = cfs_->pick_repair_target(live);
+  // A lost copy the stripe's pending encode relies on (under EAR: the
+  // block's core-rack copy, or one the kept-replica matching needs) goes
+  // back to its own rack while that rack has a live node to take it.
+  std::vector<NodeId> lost;
+  for (const NodeId n : locs) {
+    if (!cfs_->node_alive(n)) lost.push_back(n);
+  }
+  for (size_t copy = 0; static_cast<int>(live.size()) < target; ++copy) {
+    const RackId home = copy < lost.size()
+                            ? cfs_->restore_rack(block, lost[copy])
+                            : kInvalidRack;
+    const NodeId dst = cfs_->pick_repair_target(live, {}, home);
     if (dst == kInvalidNode) return Outcome::kRetry;
     throttle(block_size, live_mode);
     try {

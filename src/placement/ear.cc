@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "flow/maxflow.h"
@@ -246,33 +247,71 @@ const StripeInfo& EncodingAwareReplication::stripe(StripeId id) const {
   return stripes_.at(id);
 }
 
+RackId EncodingAwareReplication::restore_rack(
+    StripeId id, int index, NodeId lost,
+    const std::vector<std::vector<NodeId>>& live) const {
+  const StripeInfo& s = stripes_.at(id);
+  const RackId rack = topo_->rack_of(lost);
+  // The encoder downloads nothing across racks while every data block has
+  // a live copy in the core rack.
+  const std::vector<NodeId>& copies = live.at(static_cast<size_t>(index));
+  if (rack == s.core_rack &&
+      std::none_of(copies.begin(), copies.end(), [&](NodeId n) {
+        return topo_->rack_of(n) == s.core_rack;
+      })) {
+    return rack;
+  }
+  // A new copy only adds edges to the flow graph: a matching the live
+  // copies admit survives wherever it goes.
+  const int flow =
+      ear_stripe_max_flow(*topo_, config_.c, live, target_racks_.at(id));
+  return flow == static_cast<int>(live.size()) ? kInvalidRack : rack;
+}
+
 const std::vector<RackId>& EncodingAwareReplication::stripe_target_racks(
     StripeId id) const {
   return target_racks_.at(id);
 }
 
-EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
+EncodePlan EncodingAwareReplication::plan_encoding(
+    StripeId id, const std::vector<std::vector<NodeId>>& replicas,
+    const NodeDown& down) {
   const StripeInfo& s = stripes_.at(id);
   assert(s.sealed(config_.code.k));
   const int k = config_.code.k;
   const int m = config_.code.m();
+  assert(static_cast<int>(replicas.size()) == k);
   const std::vector<RackId>& targets = target_racks_.at(id);
+  const std::vector<std::vector<NodeId>> live = live_copies(replicas, down);
+  const auto is_down = [&down](NodeId n) { return down && down(n); };
 
   EncodePlan plan;
   plan.stripe = id;
-  // The encoder runs inside the core rack (§III-A); all k first replicas
-  // live there, so no data block crosses racks.
-  plan.encoder = random_node_in_rack(*topo_, s.core_rack, rng_);
+  // The encoder runs inside the core rack (§III-A); every data block keeps
+  // a copy there while the rack has a live node (re-replication restores a
+  // lost one in its rack, failure/repair.h), so no data block crosses
+  // racks.  With the whole core rack down, any live node encodes.
+  plan.encoder = draw_live_node(*topo_, s.core_rack, down, rng_);
+  if (plan.encoder == kInvalidNode) {
+    plan.encoder = draw_live_node(*topo_, kInvalidRack, down, rng_);
+  }
+  if (plan.encoder == kInvalidNode) {
+    throw std::runtime_error("EAR: no live node to encode stripe " +
+                             std::to_string(id));
+  }
   plan.cross_rack_downloads =
-      count_cross_rack_downloads(*topo_, plan.encoder, s.replicas);
-  assert(plan.cross_rack_downloads == 0);
+      count_cross_rack_downloads(*topo_, plan.encoder, live);
 
-  // Kept replicas come from the maximum matching (§III-B).  The placement
-  // loop guaranteed the matching exists.
+  // Kept replicas come from the maximum matching (§III-B) over the live
+  // copies.  The placement loop guaranteed one over the placed copies; a
+  // failure can take it away, and then the stripe waits for repair.
   const int flow =
-      ear_stripe_max_flow(*topo_, config_.c, s.replicas, targets, &plan.kept);
-  (void)flow;
-  assert(flow == k);
+      ear_stripe_max_flow(*topo_, config_.c, live, targets, &plan.kept);
+  if (flow != k) {
+    throw std::runtime_error(
+        "EAR: the live copies of stripe " + std::to_string(id) +
+        " admit no kept-replica layout");
+  }
 
   std::vector<int> rack_load(static_cast<size_t>(topo_->rack_count()), 0);
   std::vector<bool> node_used(static_cast<size_t>(topo_->node_count()), false);
@@ -281,20 +320,21 @@ EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
     node_used[static_cast<size_t>(n)] = true;
   }
 
+  const auto rack_eligible = [&](RackId r) {
+    return targets.empty() ||
+           std::find(targets.begin(), targets.end(), r) != targets.end();
+  };
+
   // Locality post-pass (§III-D): when c > 1 the core rack can absorb parity
   // blocks, turning their uploads intra-rack.  Re-match blocks kept in the
-  // core rack to alternative replicas in other eligible racks with spare
-  // capacity, freeing core slots for up to m parity blocks.
+  // core rack to alternative live replicas in other eligible racks with
+  // spare capacity, freeing core slots for up to m parity blocks.
   if (config_.c > 1) {
-    const auto rack_eligible = [&](RackId r) {
-      return targets.empty() ||
-             std::find(targets.begin(), targets.end(), r) != targets.end();
-    };
     int wanted_free = m;
     for (int i = 0; i < k && wanted_free > 0; ++i) {
       const NodeId kept = plan.kept[static_cast<size_t>(i)];
       if (topo_->rack_of(kept) != s.core_rack) continue;
-      for (const NodeId alt : s.replicas[static_cast<size_t>(i)]) {
+      for (const NodeId alt : live[static_cast<size_t>(i)]) {
         const RackId alt_rack = topo_->rack_of(alt);
         if (alt == kept || alt_rack == s.core_rack) continue;
         if (!rack_eligible(alt_rack)) continue;
@@ -322,8 +362,8 @@ EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
   }
 
   // Parity blocks go to racks that still have fewer than c blocks of this
-  // stripe, on nodes not already holding a stripe block (§III-B), preferring
-  // the core rack so the upload stays intra-rack.
+  // stripe, on live nodes not already holding a stripe block (§III-B),
+  // preferring the encoder's rack so the upload stays intra-rack.
   std::vector<RackId> eligible =
       targets.empty()
           ? [&] {
@@ -335,18 +375,20 @@ EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
           : targets;
 
   const RackId encoder_rack = topo_->rack_of(plan.encoder);
+  const auto usable = [&](NodeId n) {
+    return !node_used[static_cast<size_t>(n)] && !is_down(n);
+  };
   for (int j = 0; j < m; ++j) {
-    // Prefer the core rack (intra-rack upload) while it has spare capacity,
-    // otherwise a random eligible rack with spare capacity and a free node.
+    // Prefer the encoder's rack (intra-rack upload) while it has spare
+    // capacity, otherwise a random eligible rack with spare capacity and a
+    // free live node.
     const auto rack_open = [&](RackId r) {
       if (rack_load[static_cast<size_t>(r)] >= config_.c) return false;
-      for (const NodeId n : topo_->nodes_in_rack(r)) {
-        if (!node_used[static_cast<size_t>(n)]) return true;
-      }
-      return false;
+      const std::vector<NodeId> nodes = topo_->nodes_in_rack(r);
+      return std::any_of(nodes.begin(), nodes.end(), usable);
     };
     std::vector<RackId> open;
-    if (rack_open(encoder_rack)) {
+    if (rack_eligible(encoder_rack) && rack_open(encoder_rack)) {
       open.push_back(encoder_rack);
     } else {
       for (const RackId r : eligible) {
@@ -357,10 +399,8 @@ EncodePlan EncodingAwareReplication::plan_encoding(StripeId id) {
       throw std::runtime_error("EAR: no rack left for a parity block");
     }
     const RackId rack = open[rng_.index(open.size())];
-    std::vector<NodeId> free;
-    for (const NodeId n : topo_->nodes_in_rack(rack)) {
-      if (!node_used[static_cast<size_t>(n)]) free.push_back(n);
-    }
+    std::vector<NodeId> free = topo_->nodes_in_rack(rack);
+    std::erase_if(free, [&](NodeId n) { return !usable(n); });
     const NodeId node = free[rng_.index(free.size())];
     node_used[static_cast<size_t>(node)] = true;
     ++rack_load[static_cast<size_t>(rack)];

@@ -2,7 +2,10 @@
 //
 // Invariants maintained per stripe:
 //  * every data block keeps its first replica in the stripe's core rack, so
-//    an encoder in the core rack downloads zero data blocks across racks;
+//    an encoder in the core rack downloads zero data blocks across racks
+//    (after failures too, while the core rack has a live node: the planner
+//    works from the live copies and re-replication restores a lost copy in
+//    its rack);
 //  * after each block's replicas are placed, the flow graph of §III-B admits
 //    a maximum flow equal to the number of blocks placed so far, i.e. a
 //    system of "kept" replicas exists with <= 1 block per node and <= c
@@ -35,7 +38,16 @@ class EncodingAwareReplication final : public PlacementPolicy {
                              std::optional<NodeId> writer) override;
   std::vector<StripeId> sealed_stripes() const override;
   const StripeInfo& stripe(StripeId id) const override;
-  EncodePlan plan_encoding(StripeId id) override;
+  using PlacementPolicy::plan_encoding;
+  EncodePlan plan_encoding(StripeId id,
+                           const std::vector<std::vector<NodeId>>& replicas,
+                           const NodeDown& down) override;
+  // The lost copy's rack when it was the block's last live copy in the core
+  // rack, or when the live copies admit no kept-replica matching without
+  // it; kInvalidRack otherwise (any new copy keeps the matching).
+  RackId restore_rack(
+      StripeId id, int index, NodeId lost,
+      const std::vector<std::vector<NodeId>>& live) const override;
 
   // Target racks of a stripe (empty when config.target_racks == 0).
   const std::vector<RackId>& stripe_target_racks(StripeId id) const;

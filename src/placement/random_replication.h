@@ -27,7 +27,10 @@ class RandomReplication final : public PlacementPolicy {
                              std::optional<NodeId> writer) override;
   std::vector<StripeId> sealed_stripes() const override;
   const StripeInfo& stripe(StripeId id) const override;
-  EncodePlan plan_encoding(StripeId id) override;
+  using PlacementPolicy::plan_encoding;
+  EncodePlan plan_encoding(StripeId id,
+                           const std::vector<std::vector<NodeId>>& replicas,
+                           const NodeDown& down) override;
 
  private:
   const Topology* topo_;

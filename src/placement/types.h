@@ -82,7 +82,11 @@ struct EncodePlan {
   // parity[j]: node that stores parity block j.
   std::vector<NodeId> parity;
 
-  // Replica copies deleted after encoding: (block index, node).
+  // Replica copies deleted after encoding: (block index, node), the
+  // placement record's copies but the kept one.  Read by tests only: with
+  // failures the kept copy may be one re-replication added, and MiniCfs
+  // retires every copy the NameNode lists at the encode's commit but the
+  // kept one (NamespaceShards::commit_encoded_stripe).
   std::vector<std::pair<int, NodeId>> deletions;
 
   // Data blocks the encoder must download from another rack (0 under EAR by

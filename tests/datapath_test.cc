@@ -696,7 +696,18 @@ TEST(WorkerPool, DataPathOperationsReuseSharedThreads) {
       while (true) {
         for (const StripeId s : cluster.sealed_stripes()) {
           if (encoded.insert(s).second) {
-            cluster.encode_stripe(s);
+            try {
+              cluster.encode_stripe(s);
+            } catch (const std::runtime_error& e) {
+              // Two of its blocks lost their core-rack copy to the dead
+              // node and share their only other rack: the stripe waits for
+              // a repair this test does not run.
+              if (std::string(e.what()).find("no kept-replica layout") ==
+                  std::string::npos) {
+                throw;
+              }
+              continue;
+            }
             return std::make_pair(s, ops + 1);
           }
         }
